@@ -52,9 +52,11 @@ class LambdaParams:
             raise ParameterError(f"N must be a positive integer, got {self.N}")
         if not (1.0 <= self.q <= 2.0):
             raise ParameterError(f"q must lie in [1, 2], got {self.q}")
-        given = [v is not None for v in (self.x, self.log_x, self.log_log_x)]
-        if sum(given) != 1:
+        given = [v for v in (self.x, self.log_x, self.log_log_x) if v is not None]
+        if len(given) != 1:
             raise ParameterError("give exactly one of x, log_x, log_log_x")
+        if not math.isfinite(given[0]):
+            raise ParameterError(f"x, log_x and log_log_x must be finite, got {given[0]}")
         if self.x is not None:
             if self.x < math.e:
                 raise ParameterError(f"x must be >= e, got {self.x}")

@@ -128,9 +128,12 @@ def export(records: list[dict], fmt: str, path: str, manifest_ref: str | None = 
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad numeric list {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(f"numeric list {text!r} holds a non-finite value")
+    return values
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -154,18 +157,33 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _apply_config(args: argparse.Namespace, parser_dests: set[str]):
+def _apply_config(args: argparse.Namespace, actions: dict[str, argparse.Action]):
+    """Fill unset options from the config file, typed as their flags are."""
     if not getattr(args, "config", None):
         return
     cfg = load_config(args.config)
-    unknown = set(cfg) - parser_dests
+    unknown = set(cfg) - set(actions)
     if unknown:
         raise ParameterError(
-            f"unknown config keys: {sorted(unknown)}; valid: {sorted(parser_dests)}"
+            f"unknown config keys: {sorted(unknown)}; valid: {sorted(actions)}"
         )
     for key, raw in cfg.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, raw)
+        if getattr(args, key, None) is not None:
+            continue
+        action = actions[key]
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError as exc:
+            raise ParameterError(f"config key {key}: bad value {raw!r}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise ParameterError(f"config key {key}: {raw!r} is not one of {list(action.choices)}")
+        setattr(args, key, value)
+
+
+def _check_finite(args: argparse.Namespace) -> None:
+    for key, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{key} must be finite, got {value}")
 
 
 _COMMON_DEFAULTS = {
@@ -258,13 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args, key):
     v = getattr(args, key, None)
-    if v is None:
-        return _COMMON_DEFAULTS.get(key)
-    if key in ("samples", "workers", "n_boot") and not isinstance(v, int):
-        return int(v)
-    if key in ("epsilon", "delta") and not isinstance(v, float):
-        return float(v)
-    return v
+    return _COMMON_DEFAULTS.get(key) if v is None else v
 
 
 def _plan(args) -> ExperimentPlan:
@@ -276,14 +288,14 @@ def _plan(args) -> ExperimentPlan:
     budget = getattr(args, "budget", None)
     model = ModelSpec(_resolve(args, "model") or "rmf")
     return ExperimentPlan(
-        master_seed=int(seed) if not isinstance(seed, int) else seed,
+        master_seed=seed,
         samples=_resolve(args, "samples"),
         model=model,
         N=int(getattr(args, "N", 0) or 8),
-        epsilon=float(_resolve(args, "epsilon")),
-        delta=float(_resolve(args, "delta")),
+        epsilon=_resolve(args, "epsilon"),
+        delta=_resolve(args, "delta"),
         workers=_resolve(args, "workers"),
-        budget=None if budget is None else int(float(budget)),
+        budget=None if budget is None else int(budget),
         n_boot=_resolve(args, "n_boot"),
     )
 
@@ -511,13 +523,14 @@ _HANDLERS = {
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    dests = {
-        a.dest
+    actions = {
+        a.dest: a
         for a in parser._subparsers._group_actions[0].choices[args.command]._actions
         if a.dest != "help"
     }
     try:
-        _apply_config(args, dests)
+        _apply_config(args, actions)
+        _check_finite(args)
         return _HANDLERS[args.command](args)
     except ParameterError as exc:
         print(f"rmflab: error: parameter: {exc}", file=sys.stderr)

@@ -32,11 +32,12 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .census import count_changes_chunk
+from .census import change_positions_chunk, count_changes_chunk
 from .errors import ParameterError, ResourceError
 
 DEFAULT_BUDGET = 10**9
 MIN_SEGMENT = 1 << 20
+PIECE = 1 << 14  # steps a first_change lane walks between stop checks
 INT32_CEILING = 1 << 30  # below this x_end, partial sums fit int32 exactly
 
 
@@ -110,6 +111,9 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     # |M(u)| <= u, so int32 partial sums are exact below the ceiling and
     # much faster; the walk still reports int64 values outward.
     cum_dtype = np.int32 if x_end < INT32_CEILING else np.int64
+    # a first_change lane checks for its stop after every piece; any other
+    # run walks each segment as one piece
+    piece_len = PIECE if first_change else seg_len
 
     marks = np.asarray(marks, dtype=np.int64)
     one = np.uint64(1)
@@ -118,9 +122,6 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
         hi = min(lo + seg_len, x_end + 1)
         ctx = source.segment(state, lo, hi)
         w = source.weights(ctx)
-        first_mark = int(np.searchsorted(marks, lo))
-        last_mark = int(np.searchsorted(marks, hi))
-        seg_marks = marks[first_mark:last_mark]
         row = 0
         for block, lanes, rows in blocks:
             if stopped[row : row + len(lanes)].all():
@@ -131,41 +132,49 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
             if active is not None:
                 active_i8 = active.astype(np.int8)
             for lane in lanes:
-                if stopped[row]:
-                    row += 1
-                    continue
-                bit = ((words >> lane) & one).astype(np.int8)
-                np.multiply(bit, np.int8(-2), out=bit)
-                bit += np.int8(1)
-                if active_i8 is not None:
-                    bit *= active_i8
-                if w is None:
-                    m = np.cumsum(bit, dtype=cum_dtype)
-                    m += m.dtype.type(running[row])
-                else:
-                    m = np.cumsum(bit * w)
-                    m += running[row]
-                pos = 0
                 carry = int(carry_sign[row])
                 acc = int(change_acc[row])
-                for j, mk in enumerate(seg_marks):
-                    cut = int(mk) - lo
-                    if census:
-                        delta, carry = count_changes_chunk(m[pos : cut + 1], carry)
+                a = lo
+                while a < hi and not stopped[row]:
+                    b = min(a + piece_len, hi)
+                    span = slice(a - lo, b - lo)
+                    bit = ((words[span] >> lane) & one).astype(np.int8)
+                    np.multiply(bit, np.int8(-2), out=bit)
+                    bit += np.int8(1)
+                    if active_i8 is not None:
+                        bit *= active_i8[span]
+                    if w is None:
+                        m = np.cumsum(bit, dtype=cum_dtype)
+                        m += m.dtype.type(running[row])
+                    else:
+                        m = np.cumsum(bit * w[span])
+                        m += running[row]
+                    piece_carry = carry
+                    pos = 0
+                    for j in range(int(np.searchsorted(marks, a)), int(np.searchsorted(marks, b))):
+                        cut = int(marks[j]) - a
+                        if census:
+                            delta, carry = count_changes_chunk(m[pos : cut + 1], carry)
+                            acc += delta
+                            changes[row, j] = acc
+                        values[row, j] = m[cut]
+                        pos = cut + 1
+                    if census and pos < m.size:
+                        delta, carry = count_changes_chunk(m[pos:], carry)
                         acc += delta
-                        changes[row, first_mark + j] = acc
-                    values[row, first_mark + j] = m[cut]
-                    pos = cut + 1
-                if census and pos < m.size:
-                    delta, carry = count_changes_chunk(m[pos:], carry)
-                    acc += delta
-                running[row] = m[-1]
+                    running[row] = m[-1]
+                    if first_change and b > marks[0] and acc > changes[row, 0]:
+                        # the first change after marks[0] completes in this
+                        # piece; later marks report the walk as it stood there
+                        at, _ = change_positions_chunk(m, piece_carry, a)
+                        u = next(p for p in at if p > marks[0])
+                        j = int(np.searchsorted(marks, u))
+                        values[row, j:] = m[u - a]
+                        changes[row, j:] = changes[row, 0] + 1
+                        stopped[row] = True
+                    a = b
                 carry_sign[row] = carry
                 change_acc[row] = acc
-                if first_change and hi > marks[0] and acc > changes[row, 0]:
-                    stopped[row] = True
-                    values[row, last_mark:] = m[-1]
-                    changes[row, last_mark:] = acc
                 row += 1
         lo = hi
     rows_all = np.concatenate([rows for _, _, rows in blocks])
@@ -187,16 +196,18 @@ def run_walks(
     """Walk all requested samples to ``x_end``, reporting at ``marks``.
 
     ``first_change=True`` (census runs only) is for callers that only ask
-    whether a sign change follows ``marks[0]``: a lane stops being walked
-    at the end of the segment in which it first changes sign after
-    ``marks[0]``, and every mark it no longer reaches repeats the count and
-    value it had there.  ``changes[:, j] - changes[:, 0] >= 1`` is then
-    still exactly the indicator of a change in (marks[0], marks[j]]; the
-    counts and values past the stop are not the walk's own.
+    whether a sign change follows ``marks[0]``: each lane is walked in
+    pieces of ``PIECE`` integers and stops at the end of the piece in which
+    its first sign change after ``marks[0]`` completes, at integer u say.
+    Marks up to u report the walk's own count and value; every later mark
+    repeats those at u, so ``changes[:, j] - changes[:, 0] >= 1`` is still
+    exactly the indicator of a change in (marks[0], marks[j]].  For integer
+    walks the output is then a function of (source, sample, marks) alone,
+    the same for any worker count and segment length.
     """
     x_end = int(x_end)
-    if x_end < 1:
-        raise ParameterError(f"x_end must be >= 1, got {x_end}")
+    if not 1 <= x_end < 2**63:
+        raise ParameterError(f"x_end must lie in [1, 2^63), got {x_end}")
     if first_change and not census:
         raise ParameterError("first_change needs a census run")
     marks_arr = np.asarray(sorted(set(int(m) for m in marks)), dtype=np.int64)

@@ -41,7 +41,7 @@ KINDS = (
     "bounded_martingale",
 )
 
-MIAN_CHOWLA_MAX = 10**4
+MIAN_CHOWLA_MAX = 2000  # reachable limit; see mian_chowla
 SALT_SIDON = 0x1B87_3593_7AF1_6D2B
 SALT_MARTINGALE = 0x6C62_272E_07BB_0142
 
@@ -67,6 +67,13 @@ def mian_chowla(k: int) -> SidonSet:
     ``banned`` marks each c = a_j + d for a term a_j and a difference d, and
     is updated by the new pairs whenever a term is accepted; the next term
     is then the first unmarked candidate.
+
+    ``k`` is capped at ``MIAN_CHOWLA_MAX`` = 2000 because the table needs
+    about a_k bytes (2 a_k while it doubles) and the difference list 4 k^2
+    bytes, and a_k grows about like k^2.7: a_1000 = 14,018,951 and
+    a_2000 = 96,592,680.  k = 2000 takes 70-90 s and 314 MB peak RSS on a
+    2-core host; k = 10^4 would need a_k ~ 7e9, several GB for the table
+    alone.
     """
     if not (1 <= k <= MIAN_CHOWLA_MAX):
         raise ParameterError(f"mian_chowla needs 1 <= k <= {MIAN_CHOWLA_MAX}")
@@ -376,8 +383,9 @@ def collect_walks(
 ) -> WalkResult:
     """Uniform multi-sample collection across all model kinds.
 
-    ``first_change`` lets engine-backed models stop each lane early, as in
-    :func:`run_walks`; the other models walk every lane to ``x_end``.
+    ``first_change`` lets engine-backed models stop each lane at its first
+    sign change after ``marks[0]``, as in :func:`run_walks`; the other
+    models walk every lane to ``x_end``.
     """
     x_end = int(x_end)
     if x_end < 1:

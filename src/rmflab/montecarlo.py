@@ -39,7 +39,10 @@ def resolve_budget(budget: int | None) -> int:
         return int(budget)
     env = os.environ.get("RMFLAB_BUDGET")
     if env:
-        return int(float(env))
+        try:
+            return int(float(env))
+        except (ValueError, OverflowError) as exc:
+            raise ParameterError(f"RMFLAB_BUDGET must be a finite number, got {env!r}") from exc
     return DEFAULT_BUDGET
 
 
@@ -80,8 +83,9 @@ class ExperimentPlan:
 
     def regime_flags(self, x: float, N: int | None = None) -> RegimeFlags:
         N = self.N if N is None else N
-        n_small = N <= math.log(x) / 10.0
-        loglog_ok = math.log(math.log(x)) <= N ** (2.0 - REGIME_EPSILON)
+        log_x = math.log(x) if x > 1 else 0.0  # x <= 1 is outside the asymptotics
+        n_small = N <= log_x / 10.0
+        loglog_ok = log_x <= 1 or math.log(log_x) <= N ** (2.0 - REGIME_EPSILON)
         return RegimeFlags(n_small=bool(n_small), loglog_ok=bool(loglog_ok))
 
     def with_(self, **kw) -> "ExperimentPlan":
@@ -132,6 +136,8 @@ def bootstrap_estimate(
     n = values.shape[0]
     if n < 1:
         raise ParameterError("bootstrap needs at least one sample")
+    if n_boot < 1:
+        raise ParameterError(f"bootstrap needs n_boot >= 1, got {n_boot}")
     if statistic is None:
         point = _mean_ordered(values)
         stat = lambda block: float(block.mean())
@@ -235,11 +241,11 @@ def estimate_expected_V(plan: ExperimentPlan, x: float) -> EstimateWithCI:
 
 def estimate_sign_change_prob(plan: ExperimentPlan, x: float, N: int) -> EstimateWithCI:
     """P(at least one sign change of M(u) for integer u in (x, e^N x])."""
+    if not (math.isfinite(x) and x >= 1):
+        raise ParameterError(f"x must be finite and >= 1, got {x}")
     a = int(math.floor(x))
-    b = int(math.floor(math.exp(N) * x))
+    b = grid_positions(x, N)[-1]  # > a, as e^N x >= e x > x + 1
     purpose = f"signprob|model={plan.model.kind}|x={x!r}|N={N}"
-    if b <= a:
-        return EstimateWithCI(0.0, 0.0, 0.0, 0.0, plan.samples, plan.master_seed, purpose)
     res = collect_walks(
         plan.model,
         b,

@@ -205,7 +205,12 @@ class CheckpointGrid:
 
 
 def grid_positions(x: float, N: int) -> list[int]:
-    return [int(math.floor(math.exp(n) * x)) for n in range(1, N + 1)]
+    if N < 1:
+        raise ParameterError(f"N must be >= 1, got {N}")
+    try:
+        return [int(math.floor(math.exp(n) * x)) for n in range(1, N + 1)]
+    except OverflowError as exc:
+        raise ParameterError(f"e^N x overflows at N={N}, x={x}") from exc
 
 
 def checkpoint_grid(

@@ -22,11 +22,10 @@ from math import isqrt
 import numpy as np
 
 from .census import count_changes_chunk
-from .engine import PartialSumTrace
+from .engine import PartialSumTrace, segment_length_for
 from .errors import InternalError, ParameterError
 
 MAX_PRIME_LIMIT = 1 << 40
-DEFAULT_SEGMENT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -244,10 +243,6 @@ def factor_segment(lo: int, hi: int, primes: PrimeTable) -> FactorSegment:
         factor_indptr=indptr,
         factor_values=values,
     )
-
-
-def segment_length_for(x: int) -> int:
-    return max(DEFAULT_SEGMENT, isqrt(max(int(x), 1)))
 
 
 def mertens_trace(x: int, checkpoints: list[int] | None = None) -> PartialSumTrace:

@@ -35,6 +35,35 @@ class TestExitCodes:
     def test_selftest_requires_seed(self, capsys):
         assert run(["selftest"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["signprob", "--x", "nan", "--N", "8"],
+            ["signprob", "--x", "inf", "--N", "8"],
+            ["signprob", "--x", "100", "--N", "0"],
+            ["mertens", "--x", "nan"],
+            ["lambda", "--N", "3", "--x", "1e400"],
+            ["signprob", "--x", "1e30", "--N", "2", "--budget", "1e40"],
+            ["signprob", "--x", "100", "--N", "2", "--n-boot", "0"],
+            ["events", "--x", "1e4", "--N", "0"],
+            ["signprob", "--x", "100", "--N", "800"],
+        ],
+        ids=["signprob-x-nan", "signprob-x-inf", "signprob-N-0", "mertens-x-nan", "lambda-x-overflow",
+             "signprob-x-past-int64", "signprob-n-boot-0", "events-N-0", "signprob-N-overflow"],
+    )
+    def test_bad_number_exits_2(self, argv, capsys):
+        assert run(argv + ["--seed", "1", "--samples", "4"]) == 2
+        assert "rmflab: error: parameter:" in capsys.readouterr().err
+
+    def test_bad_budget_environment_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("RMFLAB_BUDGET", "abc")
+        assert run(["signprob", "--x", "100", "--N", "2", "--seed", "1", "--samples", "4"]) == 2
+        assert "rmflab: error: parameter:" in capsys.readouterr().err
+
+    def test_signprob_at_x_one_runs(self, capsys):
+        # the regime flags need log log x, which x = 1 does not have
+        assert run(["signprob", "--x", "1", "--N", "2", "--seed", "1", "--samples", "4"]) == 0
+
 
 class TestLambdaCommand:
     def test_prints_exact_asymptotic_ratio(self, capsys):
@@ -115,6 +144,13 @@ class TestConfigFile:
         assert run(["moments", "--x", "100", "--q", "2", "--config", str(cfg),
                     "--samples", "25", "--out", str(out2)]) == 0
         assert read_csv(out2)[0]["n_samples"] == "25"
+
+    @pytest.mark.parametrize("line", ["samples = abc", "budget = nan", "model = nosuch"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["simulate", "--x", "100", "--seed", "1", "--config", str(cfg)]) == 2
+        assert "rmflab: error: parameter:" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

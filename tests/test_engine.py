@@ -104,3 +104,58 @@ def test_first_change_keeps_window_indicators(workers):
 def test_first_change_needs_census():
     with pytest.raises(ParameterError):
         run_walks(IidWordSource(master_seed=1), 10, [5], [0], census=False, first_change=True)
+
+
+FIRST_CHANGE_MARKS = [300, 700, 1500, 2200, 3000]
+
+
+@pytest.fixture(scope="module")
+def dense_rmf_walk():
+    """M(u) and V(u) of 140 rmf walks at every u <= 3000."""
+    return run_walks(RmfWordSource(master_seed=29), 3000, range(1, 3001), range(140))
+
+
+@pytest.mark.parametrize("piece", [64, engine.PIECE])
+def test_first_change_output_independent_of_segments_and_workers(monkeypatch, piece):
+    monkeypatch.setattr(engine, "PIECE", piece)
+    src = RmfWordSource(master_seed=29)
+    runs = [
+        run_walks(src, 3000, FIRST_CHANGE_MARKS, range(140), segment_len=seg,
+                  workers=workers, first_change=True)
+        for seg in (500, 777, 9000)
+        for workers in (1, 2)
+    ]
+    for res in runs[1:]:
+        assert np.array_equal(res.values, runs[0].values)
+        assert np.array_equal(res.changes, runs[0].changes)
+
+
+@pytest.mark.parametrize("piece", [64, engine.PIECE])
+@pytest.mark.parametrize("on_change", [False, True])
+def test_stopped_lane_reports_walk_at_its_first_change(monkeypatch, piece, on_change,
+                                                       dense_rmf_walk):
+    monkeypatch.setattr(engine, "PIECE", piece)
+    marks = list(FIRST_CHANGE_MARKS)
+    if on_change:
+        # a change completing at marks[0] itself is not one after marks[0]
+        steps = np.diff(dense_rmf_walk.changes[:, marks[0] - 1 :], axis=1)
+        marks[0] += int(np.flatnonzero(steps.any(axis=0))[0]) + 1
+    fast = run_walks(RmfWordSource(master_seed=29), 3000, marks, range(140),
+                     segment_len=777, first_change=True)
+    dense_v, dense_c = dense_rmf_walk.values, dense_rmf_walk.changes
+    stops = []
+    for i in range(140):
+        base = dense_c[i, marks[0] - 1]
+        later = np.flatnonzero(dense_c[i, marks[0]:] > base)
+        # the integer where the first change after marks[0] completes
+        u = marks[0] + 1 + int(later[0]) if later.size else None
+        stops.append(u)
+        for j, mk in enumerate(marks):
+            at = mk if u is None or mk < u else u
+            assert fast.values[i, j] == dense_v[i, at - 1]
+            assert fast.changes[i, j] == dense_c[i, at - 1]
+            if u is not None and mk >= u:
+                assert fast.changes[i, j] == base + 1
+    # some lanes stop between marks, some never stop
+    assert any(u is not None and u not in marks and u < marks[-1] for u in stops)
+    assert any(u is None for u in stops)

@@ -5,6 +5,7 @@ import pytest
 
 from rmflab.errors import ParameterError
 from rmflab.models import (
+    MIAN_CHOWLA_MAX,
     ModelSpec,
     collect_walks,
     mian_chowla,
@@ -53,7 +54,7 @@ class TestMianChowla:
         with pytest.raises(ParameterError):
             mian_chowla(0)
         with pytest.raises(ParameterError):
-            mian_chowla(10**4 + 1)
+            mian_chowla(MIAN_CHOWLA_MAX + 1)
 
 
 class TestSamplePath:

@@ -108,9 +108,11 @@ class TestExpectedV:
 
 
 class TestSignChangeProb:
-    def test_empty_interval(self):
-        est = estimate_sign_change_prob(plan(samples=20), 100.0, 0)
-        assert est.point == 0.0
+    def test_n_below_one_rejected(self):
+        # N = 0 gives the empty interval (x, x], which has no sign change to ask about
+        for N in (0, -1):
+            with pytest.raises(ParameterError):
+                estimate_sign_change_prob(plan(samples=20), 100.0, N)
 
     def test_all_plus_walk_never_changes(self):
         res = run_walks(RmfWordSource(master_seed=1, hook="plus"), 1000, [100, 1000], range(8))
