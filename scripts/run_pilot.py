@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the pilot-pinned thresholds in src/rmflab/pinned.py.
 
-Runs the threshold-defining experiments at PILOT_SEED and prints a block
-of constants to paste into pinned.py.  The sign-change probability pass is
-the heavy one (the x = 1e5 interval walks to ~3e8); expect a long run.
+Runs the threshold-defining experiments of acceptance criteria 6 and 7 --
+the same definitions the gate uses -- at PILOT_SEED and prints a block of
+constants to paste into pinned.py.  The sign-change probability pass is
+the heavy one (the x = 1e5 interval walks to ~3e8): about two minutes on
+two cores.
 
 Usage: python scripts/run_pilot.py [--workers K] [--only signprob|avgv|mertens]
 """
@@ -12,47 +14,36 @@ import argparse
 import math
 import time
 
-from rmflab.models import ModelSpec
-from rmflab.montecarlo import (
-    ExperimentPlan,
-    estimate_sign_change_prob,
-    expected_v_table,
-    x_ell_grid,
+from rmflab.acceptance import (
+    SIGNPROB_N,
+    SIGNPROB_XS,
+    avg_v_grid,
+    avg_v_plan,
+    avg_v_scale,
+    signprob_plan,
 )
+from rmflab.montecarlo import estimate_sign_change_prob, expected_v_table
 from rmflab.pinned import PILOT_SEED
 from rmflab.sieve import mertens_trace
 
 
 def pilot_signprob(workers: int) -> dict:
-    xs = [10**3, 10**4, 10**5]
-    n_interval = 8
-    samples = 10**3
-    biggest = int(math.exp(n_interval) * xs[-1])
-    plan = ExperimentPlan(
-        master_seed=PILOT_SEED, samples=samples, model=ModelSpec("rmf"),
-        workers=workers, budget=biggest * samples + 1,
-    )
+    plan = signprob_plan(PILOT_SEED, workers)
     points = {}
-    for x in xs:
+    for x in SIGNPROB_XS:
         t0 = time.time()
-        est = estimate_sign_change_prob(plan, x, n_interval)
+        est = estimate_sign_change_prob(plan, x, SIGNPROB_N)
         points[x] = (est.point, est.se)
         print(f"  signprob x={x}: {est.point:.4f} (se {est.se:.4f}) in {time.time()-t0:.0f}s")
     return points
 
 
 def pilot_avg_v(workers: int) -> dict:
-    xs = [x for x in x_ell_grid(0.01, 40) if 10**3 <= x <= 10**6]
-    samples = 600
-    plan = ExperimentPlan(
-        master_seed=PILOT_SEED, samples=samples, model=ModelSpec("rmf"),
-        workers=workers, budget=int(xs[-1]) * samples + 1,
-    )
-    table = expected_v_table(plan, xs)
+    xs = avg_v_grid()
+    table = expected_v_table(avg_v_plan(PILOT_SEED, workers), xs)
     ratios = {}
     for x in xs:
-        scale = math.log(math.log(x)) ** 0.51 / math.log(x)
-        ratios[x] = table[x].point * scale
+        ratios[x] = table[x].point * avg_v_scale(x)
         print(f"  avg-v x={x:.4g}: EV={table[x].point:.3f} ratio={ratios[x]:.4f}")
     return ratios
 
@@ -79,9 +70,10 @@ def main() -> None:
     if args.only in (None, "signprob"):
         print("local sign-change probabilities (heavy) ...")
         points = pilot_signprob(args.workers)
-        floor = min(p for p, _ in points.values())
-        # margin for seed-to-seed fluctuation: well below any plausible rerun
-        out["THETA_SIGNPROB"] = round(0.7 * floor, 6)
+        # a 4-sigma test of a rerun's p against the pilot's at the same x: the
+        # difference of two independent estimates has se sqrt(2) se_x
+        theta = min(p - 4.0 * math.sqrt(2.0) * se for p, se in points.values())
+        out["THETA_SIGNPROB"] = round(theta, 6)
         out["SIGNPROB_PILOT_POINTS"] = {
             str(x): (round(p, 6), round(se, 6)) for x, (p, se) in points.items()
         }

@@ -36,6 +36,7 @@ from .montecarlo import (
     EstimateWithCI,
     ExperimentPlan,
     RunManifest,
+    correlation_table,
     estimate_correlation,
     estimate_event_probs,
     estimate_expected_V,
@@ -84,5 +85,5 @@ __all__ = [
     "ExperimentPlan", "EstimateWithCI", "RunManifest",
     "estimate_moment", "moment_table", "estimate_expected_V",
     "expected_v_table", "estimate_sign_change_prob", "estimate_correlation",
-    "estimate_event_probs", "x_ell_grid",
+    "correlation_table", "estimate_event_probs", "x_ell_grid",
 ]

@@ -29,14 +29,15 @@ from .analysis import (
     lambda_asymptotic,
     lambda_exact,
 )
-from .models import ModelSpec, collect_walks
+from .models import ModelSpec
 from .montecarlo import (
     ExperimentPlan,
-    bootstrap_estimate,
+    correlation_table,
     estimate_expected_V,
     estimate_moment,
     estimate_sign_change_prob,
     expected_v_table,
+    moment_table,
     x_ell_grid,
 )
 from .rmf import grid_positions
@@ -83,15 +84,11 @@ def crit_second_moment(seed: int, workers: int) -> tuple[bool, str]:
         master_seed=seed, samples=2000, model=ModelSpec("rmf"), workers=workers,
         budget=xs[-1] * 2000,
     )
-    res = collect_walks(
-        plan.model, xs[-1], xs, np.arange(plan.samples), seed,
-        census=False, workers=workers, budget=plan.budget,
-    )
+    table = moment_table(plan, xs, [2.0])
     parts = []
     ok = True
-    for j, x in enumerate(xs):
-        sq = res.values[:, j].astype(np.float64) ** 2
-        est = bootstrap_estimate(sq, seed, f"accept1|x={x}", plan.n_boot)
+    for x in xs:
+        est = table[(x, 2.0)]
         q = squarefree_count(x)
         dev = abs(est.point - q) / est.se if est.se > 0 else math.inf
         ok &= dev <= 4.0
@@ -103,29 +100,18 @@ def crit_correlation_decay(seed: int, workers: int) -> tuple[bool, str]:
     x = 10**3
     n_max = 6
     samples = 2000
-    positions = grid_positions(x, n_max)
-    res = collect_walks(
-        ModelSpec("rmf"), positions[-1], positions, np.arange(samples), seed,
-        census=False, workers=workers, budget=positions[-1] * samples,
+    plan = ExperimentPlan(
+        master_seed=seed, samples=samples, model=ModelSpec("rmf"), workers=workers,
+        budget=grid_positions(x, n_max)[-1] * samples,
     )
-    denom = np.array([math.sqrt(math.exp(n) * x) for n in range(1, n_max + 1)])
-    cols = [int(np.searchsorted(res.marks, p)) for p in positions]
-    y = res.values[:, cols].astype(np.float64) / denom
+    pairs = [(n, m) for n in range(1, n_max) for m in range(n + 1, n_max + 1)]
     worst_dev = 0.0
     worst_bound = 0.0
-    for n in range(1, n_max):
-        for m in range(n + 1, n_max + 1):
-            pairs = y[:, [n - 1, m - 1]]
-            a, b = pairs[:, 0], pairs[:, 1]
-            rho_hat = float(np.corrcoef(a, b)[0, 1])
-            boots = bootstrap_estimate(
-                pairs, seed, f"accept2|{n},{m}",
-                statistic=lambda blk: float(np.corrcoef(blk[:, 0], blk[:, 1])[0, 1]),
-            )
-            rho = exact_correlation(x, n, m)
-            dev = abs(rho_hat - rho) / boots.se if boots.se > 0 else math.inf
-            worst_dev = max(worst_dev, dev)
-            worst_bound = max(worst_bound, abs(rho) * math.exp((m - n) / 2.0))
+    for (n, m), est in correlation_table(plan, x, pairs).items():
+        rho = exact_correlation(x, n, m)
+        dev = abs(est.point - rho) / est.se if est.se > 0 else math.inf
+        worst_dev = max(worst_dev, dev)
+        worst_bound = max(worst_bound, abs(rho) * math.exp((m - n) / 2.0))
     ok = worst_dev <= 4.0 and worst_bound <= 2.0
     return ok, f"max dev={worst_dev:.2f}se; max |rho|e^((m-n)/2)={worst_bound:.3f}"
 
@@ -167,13 +153,13 @@ def crit_bruteforce_oracle(seed: int, workers: int) -> tuple[bool, str]:
     exact_v = v_counts.mean()
     exact_abs = np.abs(paths[:, -1]).mean()
     # Monte Carlo at 1e5 samples
-    plan_samples = 10**5
-    res = collect_walks(
-        ModelSpec("iid_rademacher"), n, [n], np.arange(plan_samples), seed,
-        census=True, workers=workers, budget=n * plan_samples,
+    samples = 10**5
+    plan = ExperimentPlan(
+        master_seed=seed, samples=samples, model=ModelSpec("iid_rademacher"),
+        workers=workers, budget=n * samples,
     )
-    est_v = bootstrap_estimate(res.changes[:, 0].astype(np.float64), seed, "accept4|V")
-    est_abs = bootstrap_estimate(np.abs(res.values[:, 0]).astype(np.float64), seed, "accept4|absS")
+    est_v = estimate_expected_V(plan, n)
+    est_abs = estimate_moment(plan, n, 1.0)
     dev_v = abs(est_v.point - exact_v) / est_v.se
     dev_abs = abs(est_abs.point - exact_abs) / est_abs.se
     ok = dev_v <= 4.0 and dev_abs <= 4.0
@@ -202,18 +188,47 @@ def crit_erdos_hunt(seed: int, workers: int) -> tuple[bool, str]:
     return True, f"min (EV_ci_lo - 0.4 log x) over grid = {worst:.2f}"
 
 
-def crit_sign_change_prob(seed: int, workers: int) -> tuple[bool, str]:
-    if pinned.THETA_SIGNPROB is None:
-        return False, "no pinned theta; run scripts/run_pilot.py first"
-    xs = [10**3, 10**4, 10**5]
-    n_interval = 8
+# --- experiments of criteria 6 and 7; scripts/run_pilot.py runs the same
+# ones at PILOT_SEED to pin their thresholds
+
+SIGNPROB_XS = (10**3, 10**4, 10**5)
+SIGNPROB_N = 8
+
+
+def signprob_plan(seed: int, workers: int) -> ExperimentPlan:
+    """1000 rmf samples, budgeted for the walk to e^N times the largest x."""
     samples = 10**3
-    biggest = int(math.exp(n_interval) * xs[-1])
-    plan = ExperimentPlan(
+    biggest = int(math.exp(SIGNPROB_N) * SIGNPROB_XS[-1])
+    return ExperimentPlan(
         master_seed=seed, samples=samples, model=ModelSpec("rmf"),
         workers=workers, budget=biggest * samples + 1,
     )
-    ests = [estimate_sign_change_prob(plan, x, n_interval) for x in xs]
+
+
+def avg_v_grid() -> list[float]:
+    return [x for x in x_ell_grid(0.01, 40) if 10**3 <= x <= 10**6]
+
+
+def avg_v_scale(x: float) -> float:
+    """(loglog x)^0.51 / log x: E V(x) times this is criterion 7's ratio."""
+    return math.log(math.log(x)) ** 0.51 / math.log(x)
+
+
+def avg_v_plan(seed: int, workers: int) -> ExperimentPlan:
+    """600 rmf samples, budgeted for the walk to the end of the grid."""
+    samples = 600
+    return ExperimentPlan(
+        master_seed=seed, samples=samples, model=ModelSpec("rmf"),
+        workers=workers, budget=int(avg_v_grid()[-1]) * samples + 1,
+    )
+
+
+def crit_sign_change_prob(seed: int, workers: int) -> tuple[bool, str]:
+    if pinned.THETA_SIGNPROB is None:
+        return False, "no pinned theta; run scripts/run_pilot.py first"
+    xs = SIGNPROB_XS
+    plan = signprob_plan(seed, workers)
+    ests = [estimate_sign_change_prob(plan, x, SIGNPROB_N) for x in xs]
     above = all(e.point > pinned.THETA_SIGNPROB for e in ests)
     # one-sided 5% test of "p decreases with x": the drop from the first to
     # the last x, in units of the bootstrap se of that difference
@@ -228,25 +243,16 @@ def crit_sign_change_prob(seed: int, workers: int) -> tuple[bool, str]:
     )
 
 
-def _avg_v_grid() -> list[float]:
-    return [x for x in x_ell_grid(0.01, 40) if 10**3 <= x <= 10**6]
-
-
 def crit_avg_v_growth(seed: int, workers: int) -> tuple[bool, str]:
     if pinned.KAPPA_AVG_V is None:
         return False, "no pinned kappa-hat; run scripts/run_pilot.py first"
-    xs = _avg_v_grid()
-    samples = 600
-    plan = ExperimentPlan(
-        master_seed=seed, samples=samples, model=ModelSpec("rmf"),
-        workers=workers, budget=int(xs[-1]) * samples + 1,
-    )
-    table = expected_v_table(plan, xs)
+    xs = avg_v_grid()
+    table = expected_v_table(avg_v_plan(seed, workers), xs)
     ratios = []
     ci_floors = []
     parts = []
     for x in xs:
-        scale = math.log(math.log(x)) ** 0.51 / math.log(x)
+        scale = avg_v_scale(x)
         est = table[x]
         ratios.append(est.point * scale)
         ci_floors.append(est.ci_lo * scale)
@@ -258,15 +264,15 @@ def crit_avg_v_growth(seed: int, workers: int) -> tuple[bool, str]:
 def crit_harper_shape(seed: int, workers: int) -> tuple[bool, str]:
     xs = [10**4, 10**5, 10**6, 10**7]
     samples = 500
-    res = collect_walks(
-        ModelSpec("rmf"), xs[-1], xs, np.arange(samples), seed,
-        census=False, workers=workers, budget=xs[-1] * samples,
+    plan = ExperimentPlan(
+        master_seed=seed, samples=samples, model=ModelSpec("rmf"),
+        workers=workers, budget=xs[-1] * samples,
     )
+    table = moment_table(plan, xs, [1.0, 2.0])
     ok = True
     parts = []
-    for j, x in enumerate(xs):
-        m = res.values[:, j].astype(np.float64)
-        ratio = np.abs(m).mean() / math.sqrt((m**2).mean())
+    for x in xs:
+        ratio = table[(x, 1.0)].point / math.sqrt(table[(x, 2.0)].point)
         target = math.log(math.log(x)) ** -0.25
         rel = ratio / target
         good = 0.25 <= rel <= 4.0
@@ -354,18 +360,17 @@ def _plan(seed: int, samples: int, workers: int, x: int) -> ExperimentPlan:
 def crit_sidon(seed: int, workers: int) -> tuple[bool, str]:
     xs = [100, 1000]
     samples = 10**4
-    res = collect_walks(
-        ModelSpec("sidon_cosine"), xs[-1], xs, np.arange(samples), seed,
-        census=False, workers=workers, budget=xs[-1] * samples,
+    plan = ExperimentPlan(
+        master_seed=seed, samples=samples, model=ModelSpec("sidon_cosine"),
+        workers=workers, budget=xs[-1] * samples,
     )
+    table = moment_table(plan, xs, [1.0, 2.0, 4.0])
     ok = True
     parts = []
-    for j, x in enumerate(xs):
-        m = res.values[:, j]
-        m2 = (m**2).mean()
-        m4 = (m**4).mean()
-        kurt = m4 / m2**2
-        shape = np.abs(m).mean() / math.sqrt(m2)
+    for x in xs:
+        m2 = table[(x, 2.0)].point
+        kurt = table[(x, 4.0)].point / m2**2
+        shape = table[(x, 1.0)].point / math.sqrt(m2)
         good = 1.0 <= kurt <= 10.0 and shape >= 0.3
         ok &= good
         parts.append(f"x={x}: EM4/(EM2)^2={kurt:.2f}, E|M|/sqrt(EM2)={shape:.3f}")

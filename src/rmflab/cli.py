@@ -36,7 +36,7 @@ from .montecarlo import (
     EstimateWithCI,
     ExperimentPlan,
     RunManifest,
-    estimate_correlation,
+    correlation_table,
     estimate_event_probs,
     estimate_expected_V,
     estimate_moment,
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", type=float, required=True)
     s.add_argument("--n", type=int, default=1)
     s.add_argument("--m", type=int, default=None, help="single partner index")
-    s.add_argument("--max-m", dest="max_m", type=int, default=None, help="all pairs n<m<=max-m")
+    s.add_argument("--max-m", dest="max_m", type=int, default=None, help="all pairs n<=a<b<=max-m, from one walk")
     _common(s)
 
     s = sp.add_parser("events", help="probabilities of the forcing events A, B")
@@ -382,16 +382,16 @@ def cmd_lambda(args) -> int:
 def cmd_correlations(args) -> int:
     t0 = time.time()
     plan = _plan(args)
-    pairs = []
     if args.max_m is not None:
-        pairs = [(n, m) for n in range(1, args.max_m) for m in range(n + 1, args.max_m + 1)]
+        if args.max_m <= args.n:
+            raise ParameterError(f"--max-m must exceed --n={args.n}, got {args.max_m}")
+        pairs = [(n, m) for n in range(args.n, args.max_m) for m in range(n + 1, args.max_m + 1)]
     elif args.m is not None:
         pairs = [(args.n, args.m)]
     else:
         raise ParameterError("give --m or --max-m")
     recs = []
-    for n, m in pairs:
-        est = estimate_correlation(plan, args.x, n, m)
+    for (n, m), est in correlation_table(plan, args.x, pairs).items():
         exact = exact_correlation(args.x, n, m)
         recs.append(record(f"correlation[{n},{m}]", plan.model.kind, x=args.x, N=m, est=est))
         recs.append(record(f"correlation-exact[{n},{m}]", "exact", x=args.x, N=m, point=exact))

@@ -52,6 +52,20 @@ class PartialSumTrace:
     checkpoint_values: tuple
     model_tag: str
 
+    @classmethod
+    def of_walk(cls, res: WalkResult, checkpoints: Sequence[int], tag: str) -> PartialSumTrace:
+        """The first sample's trace from a census walk whose last mark is x_end."""
+        cast = int if res.values.dtype.kind == "i" else float
+        row = res.values[0]
+        return cls(
+            x_end=int(res.marks[-1]),
+            final_value=cast(row[-1]),
+            sign_change_count=int(res.changes[0, -1]),
+            checkpoint_requests=tuple(checkpoints),
+            checkpoint_values=tuple(cast(row[j]) for j in res.columns(checkpoints)),
+            model_tag=tag,
+        )
+
 
 @dataclass
 class WalkResult:
@@ -68,6 +82,15 @@ class WalkResult:
     changes: np.ndarray | None
     tag: str
 
+    def columns(self, positions: Sequence[int]) -> np.ndarray:
+        """The column of each position in ``marks``; every position must be a mark."""
+        pos = np.asarray(positions, dtype=np.int64).reshape(-1)
+        cols = np.searchsorted(self.marks, pos)
+        if not (np.all(cols < self.marks.size) and np.array_equal(self.marks[cols], pos)):
+            missing = sorted(set(pos.tolist()) - set(self.marks.tolist()))
+            raise ParameterError(f"positions {missing} are not marks of this walk")
+        return cols
+
 
 def segment_length_for(x_end: int) -> int:
     return max(MIN_SEGMENT, isqrt(max(int(x_end), 1)))
@@ -83,6 +106,35 @@ def check_budget(x_end: int, n_samples: int, budget: int | None) -> None:
             f"but the budget is {budget}; raise it explicitly or via RMFLAB_BUDGET",
             required=steps,
         )
+
+
+def walk_inputs(
+    x_end: int, marks: Sequence[int], sample_indices: Sequence[int], budget: int | None
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Validate a walk request: x_end, sorted distinct marks and sample indices.
+
+    Raises ``ParameterError`` for an x_end outside [1, 2^63), marks outside
+    [1, x_end] or negative sample indices, and ``ResourceError`` when
+    x_end * samples exceeds ``budget``.
+    """
+    x_end = int(x_end)
+    if not 1 <= x_end < 2**63:
+        raise ParameterError(f"x_end must lie in [1, 2^63), got {x_end}")
+    marks_arr = np.asarray(sorted(set(int(m) for m in marks)), dtype=np.int64)
+    if marks_arr.size == 0:
+        raise ParameterError("at least one mark is required")
+    if marks_arr[0] < 1 or marks_arr[-1] > x_end:
+        raise ParameterError(
+            f"marks must lie in [1, {x_end}], got range "
+            f"[{marks_arr[0]}, {marks_arr[-1]}]"
+        )
+    samples = np.asarray(sorted(set(int(s) for s in sample_indices)), dtype=np.int64)
+    if samples.size == 0:
+        raise ParameterError("at least one sample index is required")
+    if samples[0] < 0:
+        raise ParameterError("sample indices must be >= 0")
+    check_budget(x_end, samples.size, budget)
+    return x_end, marks_arr, samples
 
 
 def _group_blocks(sample_indices: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -205,25 +257,9 @@ def run_walks(
     walks the output is then a function of (source, sample, marks) alone,
     the same for any worker count and segment length.
     """
-    x_end = int(x_end)
-    if not 1 <= x_end < 2**63:
-        raise ParameterError(f"x_end must lie in [1, 2^63), got {x_end}")
     if first_change and not census:
         raise ParameterError("first_change needs a census run")
-    marks_arr = np.asarray(sorted(set(int(m) for m in marks)), dtype=np.int64)
-    if marks_arr.size == 0:
-        raise ParameterError("at least one mark is required")
-    if marks_arr[0] < 1 or marks_arr[-1] > x_end:
-        raise ParameterError(
-            f"marks must lie in [1, {x_end}], got range "
-            f"[{marks_arr[0]}, {marks_arr[-1]}]"
-        )
-    samples = np.asarray(sorted(set(int(s) for s in sample_indices)), dtype=np.int64)
-    if samples.size == 0:
-        raise ParameterError("at least one sample index is required")
-    if samples[0] < 0:
-        raise ParameterError("sample indices must be >= 0")
-    check_budget(x_end, samples.size, budget)
+    x_end, marks_arr, samples = walk_inputs(x_end, marks, sample_indices, budget)
     seg_len = segment_len or segment_length_for(x_end)
 
     blocks = _group_blocks(samples)

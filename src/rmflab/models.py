@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import signs
-from .engine import PartialSumTrace, WalkResult, check_budget, run_walks
+from .engine import PartialSumTrace, WalkResult, run_walks, walk_inputs
 from .errors import ParameterError
 from .rmf import RmfWordSource
 from .sieve import squarefree_count
@@ -387,9 +387,6 @@ def collect_walks(
     sign change after ``marks[0]``, as in :func:`run_walks`; the other
     models walk every lane to ``x_end``.
     """
-    x_end = int(x_end)
-    if x_end < 1:
-        raise ParameterError(f"x_end must be >= 1, got {x_end}")
     source = engine_source_for(model, master_seed)
     if source is not None:
         return run_walks(
@@ -402,13 +399,7 @@ def collect_walks(
             budget=budget,
             first_change=first_change,
         )
-    marks_arr = np.asarray(sorted(set(int(v) for v in marks)), dtype=np.int64)
-    if marks_arr.size == 0 or marks_arr[0] < 1 or marks_arr[-1] > x_end:
-        raise ParameterError(f"marks must be a nonempty subset of [1, {x_end}]")
-    samples = np.asarray(sorted(set(int(s) for s in sample_indices)), dtype=np.int64)
-    if samples.size == 0 or samples[0] < 0:
-        raise ParameterError("sample indices must be nonempty and >= 0")
-    check_budget(x_end, samples.size, budget)
+    x_end, marks_arr, samples = walk_inputs(x_end, marks, sample_indices, budget)
     if model.kind == "sidon_cosine":
         if x_end > MIAN_CHOWLA_MAX:
             raise ParameterError(
@@ -440,27 +431,8 @@ def sample_path(
     budget: int | None = None,
 ) -> PartialSumTrace:
     """One sample's trace of the model walk up to x."""
-    if x < 1:
-        raise ParameterError(f"x must be >= 1, got {x}")
-    reqs = tuple(sorted(set(int(c) for c in (checkpoints or []))))
-    if reqs and (reqs[0] < 1 or reqs[-1] > x):
-        raise ParameterError(f"checkpoints must lie in [1, {x}]")
+    reqs = sorted(set(int(c) for c in (checkpoints or [])))
     res = collect_walks(
-        model,
-        x,
-        set(reqs) | {int(x)},
-        [sample_index],
-        master_seed,
-        census=True,
-        budget=budget,
+        model, x, [*reqs, int(x)], [sample_index], master_seed, census=True, budget=budget
     )
-    by_mark = {int(m): res.values[0, j] for j, m in enumerate(res.marks)}
-    cast = int if res.values.dtype.kind == "i" else float
-    return PartialSumTrace(
-        x_end=int(x),
-        final_value=cast(by_mark[int(x)]),
-        sign_change_count=int(res.changes[0, -1]),
-        checkpoint_requests=reqs,
-        checkpoint_values=tuple(cast(by_mark[c]) for c in reqs),
-        model_tag=model.kind,
-    )
+    return PartialSumTrace.of_walk(res, reqs, model.kind)

@@ -2,8 +2,10 @@
 
 Every estimator follows the same discipline:
 
-* per-sample statistics come from :func:`models.collect_walks`, which is
-  bit-reproducible for any worker count;
+* it walks every sample once, through the one helper ``_walk`` (a call of
+  :func:`models.collect_walks`, bit-reproducible for any worker count), to
+  the largest position it reads, and takes its per-sample statistic from the
+  columns :meth:`WalkResult.columns` gives for those positions;
 * point estimates reduce the per-sample vector in sample-index order with
   compensated summation;
 * confidence intervals are percentile bootstrap (default 1000 resamples)
@@ -26,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import LambdaParams, lambda_exact
-from .engine import DEFAULT_BUDGET
+from .engine import DEFAULT_BUDGET, WalkResult
 from .errors import ParameterError
 from .models import ModelSpec, collect_walks
 from .rmf import grid_positions
@@ -161,8 +163,21 @@ def bootstrap_estimate(
     return EstimateWithCI(point, float(lo), float(hi), se, n, master_seed, purpose)
 
 
-def _samples_range(plan: ExperimentPlan) -> np.ndarray:
-    return np.arange(plan.samples, dtype=np.int64)
+def _walk(
+    plan: ExperimentPlan, marks: Sequence[int], *, census: bool, first_change: bool = False
+) -> WalkResult:
+    """Walk every sample of ``plan`` to its largest mark, reporting at ``marks``."""
+    return collect_walks(
+        plan.model,
+        max(marks),
+        marks,
+        np.arange(plan.samples, dtype=np.int64),
+        plan.master_seed,
+        census=census,
+        workers=plan.workers,
+        budget=resolve_budget(plan.budget),
+        first_change=first_change,
+    )
 
 
 def moment_table(
@@ -175,21 +190,11 @@ def moment_table(
     qs = tuple(q_list) if q_list is not None else plan.q_list
     if not xs or not qs:
         raise ParameterError("moment_table needs nonempty x and q lists")
-    marks = sorted({int(math.floor(x)) for x in xs})
-    res = collect_walks(
-        plan.model,
-        marks[-1],
-        marks,
-        _samples_range(plan),
-        plan.master_seed,
-        census=False,
-        workers=plan.workers,
-        budget=resolve_budget(plan.budget),
-    )
-    col = {m: j for j, m in enumerate(res.marks)}
+    positions = [int(math.floor(x)) for x in xs]
+    res = _walk(plan, positions, census=False)
     out: dict[tuple[float, float], EstimateWithCI] = {}
-    for x in xs:
-        m_vals = res.values[:, col[int(math.floor(x))]].astype(np.float64)
+    for x, j in zip(xs, res.columns(positions)):
+        m_vals = res.values[:, j].astype(np.float64)
         for q in qs:
             if q == 0:
                 vals = np.ones_like(m_vals)
@@ -214,21 +219,11 @@ def expected_v_table(
     xs = tuple(x_list) if x_list is not None else plan.x_grid
     if not xs:
         raise ParameterError("expected_v_table needs a nonempty x grid")
-    marks = sorted({int(math.floor(x)) for x in xs})
-    res = collect_walks(
-        plan.model,
-        marks[-1],
-        marks,
-        _samples_range(plan),
-        plan.master_seed,
-        census=True,
-        workers=plan.workers,
-        budget=resolve_budget(plan.budget),
-    )
-    col = {m: j for j, m in enumerate(res.marks)}
+    positions = [int(math.floor(x)) for x in xs]
+    res = _walk(plan, positions, census=True)
     out = {}
-    for x in xs:
-        counts = res.changes[:, col[int(math.floor(x))]].astype(np.float64)
+    for x, j in zip(xs, res.columns(positions)):
+        counts = res.changes[:, j].astype(np.float64)
         purpose = f"avg-v|model={plan.model.kind}|x={x!r}"
         out[x] = bootstrap_estimate(counts, plan.master_seed, purpose, plan.n_boot)
     return out
@@ -246,19 +241,17 @@ def estimate_sign_change_prob(plan: ExperimentPlan, x: float, N: int) -> Estimat
     a = int(math.floor(x))
     b = grid_positions(x, N)[-1]  # > a, as e^N x >= e x > x + 1
     purpose = f"signprob|model={plan.model.kind}|x={x!r}|N={N}"
-    res = collect_walks(
-        plan.model,
-        b,
-        [a, b],
-        _samples_range(plan),
-        plan.master_seed,
-        census=True,
-        workers=plan.workers,
-        budget=resolve_budget(plan.budget),
-        first_change=True,
-    )
+    res = _walk(plan, [a, b], census=True, first_change=True)
     ind = (res.changes[:, 1] - res.changes[:, 0] >= 1).astype(np.float64)
     return bootstrap_estimate(ind, plan.master_seed, purpose, plan.n_boot)
+
+
+def _checkpoint_matrix(plan: ExperimentPlan, x: float, N: int) -> np.ndarray:
+    """Y[:, n - 1] = M(floor(e^n x)) / sqrt(e^n x) for n = 1..N, from one walk."""
+    positions = grid_positions(x, N)
+    res = _walk(plan, positions, census=False)
+    denom = np.array([math.sqrt(math.exp(n) * x) for n in range(1, N + 1)])
+    return res.values[:, res.columns(positions)].astype(np.float64) / denom
 
 
 def x_ell_grid(epsilon: float, ell_max: int) -> list[float]:
@@ -298,20 +291,7 @@ def estimate_event_probs(
         raise ParameterError("epsilon must be positive")
     if not (0 < dlt < 1):
         raise ParameterError("delta must lie in (0, 1)")
-    positions = grid_positions(x, N)
-    res = collect_walks(
-        plan.model,
-        positions[-1],
-        positions,
-        _samples_range(plan),
-        plan.master_seed,
-        census=False,
-        workers=plan.workers,
-        budget=resolve_budget(plan.budget),
-    )
-    denom = np.array([math.sqrt(math.exp(n) * x) for n in range(1, N + 1)])
-    col = [int(np.searchsorted(res.marks, p)) for p in positions]
-    y = res.values[:, col].astype(np.float64) / denom
+    y = _checkpoint_matrix(plan, x, N)
     lam1 = lambda_exact(LambdaParams(N=N, q=1.0, x=x))
     s_n = y.sum(axis=1)
     s_star = np.abs(y).sum(axis=1)
@@ -352,37 +332,38 @@ def _pearson(block: np.ndarray) -> float:
     return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
 
 
+def correlation_table(
+    plan: ExperimentPlan, x: float, pairs: Sequence[tuple[int, int]]
+) -> dict[tuple[int, int], EstimateWithCI]:
+    """Pearson correlation of (Y_n, Y_m) for every pair (n, m), from one walk.
+
+    The walk goes to the largest e^m x among the pairs; a pair with n = m is
+    exactly 1 and needs no walk.  Indices must be >= 1.
+    """
+    if any(min(n, m) < 1 for n, m in pairs):
+        raise ParameterError(f"checkpoint indices must be >= 1, got pairs {list(pairs)}")
+    top = max((max(n, m) for n, m in pairs if n != m), default=0)
+    y = _checkpoint_matrix(plan, x, top) if top else None
+    out = {}
+    for n, m in pairs:
+        purpose = f"corr|model={plan.model.kind}|x={x!r}|n={n}|m={m}"
+        if n == m:
+            out[(n, m)] = EstimateWithCI(
+                1.0, 1.0, 1.0, 0.0, plan.samples, plan.master_seed, purpose
+            )
+            continue
+        lo, hi = sorted((n, m))
+        out[(n, m)] = bootstrap_estimate(
+            y[:, [lo - 1, hi - 1]], plan.master_seed, purpose, plan.n_boot, statistic=_pearson
+        )
+    return out
+
+
 def estimate_correlation(
     plan: ExperimentPlan, x: float, n: int, m: int
 ) -> EstimateWithCI:
     """Empirical Pearson correlation of (Y_n, Y_m) across samples."""
-    purpose = f"corr|model={plan.model.kind}|x={x!r}|n={n}|m={m}"
-    if n == m:
-        return EstimateWithCI(
-            1.0, 1.0, 1.0, 0.0, plan.samples, plan.master_seed, purpose
-        )
-    if n > m:
-        n, m = m, n
-    positions = grid_positions(x, m)
-    pos = [positions[n - 1], positions[m - 1]]
-    res = collect_walks(
-        plan.model,
-        pos[-1],
-        pos,
-        _samples_range(plan),
-        plan.master_seed,
-        census=False,
-        workers=plan.workers,
-        budget=resolve_budget(plan.budget),
-    )
-    col = [int(np.searchsorted(res.marks, p)) for p in pos]
-    denom = np.array(
-        [math.sqrt(math.exp(n) * x), math.sqrt(math.exp(m) * x)]
-    )
-    pairs = res.values[:, col].astype(np.float64) / denom
-    return bootstrap_estimate(
-        pairs, plan.master_seed, purpose, plan.n_boot, statistic=_pearson
-    )
+    return correlation_table(plan, x, [(n, m)])[(n, m)]
 
 
 @dataclass

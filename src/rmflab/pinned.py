@@ -19,8 +19,10 @@ ACCEPTANCE_SEED = 987654321
 # --- filled by scripts/run_pilot.py (values from the pilot run) ---
 
 # criterion: local sign-change probability, x in {1e3, 1e4, 1e5}, N=8, 1e3 samples
-# (p, bootstrap se) per x; theta = 0.7 * min p
-THETA_SIGNPROB: float = 0.6797
+# (p, bootstrap se) per x; theta = min over x of p - 4 sqrt(2) se: a rerun at
+# another seed fails only if it falls 4 se of the difference of two
+# independent estimates below the pilot's p at some x
+THETA_SIGNPROB: float = 0.941167
 SIGNPROB_PILOT_POINTS: dict = {
     "1000": (0.983, 0.00414),
     "10000": (0.978, 0.004808),

@@ -20,7 +20,7 @@ from math import isqrt
 import numpy as np
 
 from . import signs
-from .engine import DEFAULT_BUDGET, PartialSumTrace, check_budget, run_walks
+from .engine import DEFAULT_BUDGET, PartialSumTrace, run_walks
 from .errors import ParameterError
 from .sieve import FactorRecord, PrimeTable, primes_up_to, segment_radical_data
 
@@ -166,31 +166,19 @@ def rmf_trace(
     workers: int = 1,
 ) -> PartialSumTrace:
     """Stream M(u) for u <= x: census of sign changes plus checkpoint values."""
-    if x < 1:
-        raise ParameterError(f"rmf_trace needs x >= 1, got {x}")
-    x = int(x)
-    reqs = tuple(sorted(set(int(c) for c in (checkpoints or []))))
-    if reqs and (reqs[0] < 1 or reqs[-1] > x):
-        raise ParameterError(f"checkpoints must lie in [1, {x}]")
+    reqs = sorted(set(int(c) for c in (checkpoints or [])))
     source = RmfWordSource(master_seed=oracle.master_seed, hook=oracle.hook)
     res = run_walks(
         source,
         x,
-        marks=set(reqs) | {x},
+        marks=[*reqs, int(x)],
         sample_indices=[oracle.sample_index],
         census=True,
         workers=workers,
         budget=budget,
     )
-    by_mark = {int(m): int(res.values[0, j]) for j, m in enumerate(res.marks)}
-    return PartialSumTrace(
-        x_end=x,
-        final_value=by_mark[x],
-        sign_change_count=int(res.changes[0, -1]),
-        checkpoint_requests=reqs,
-        checkpoint_values=tuple(by_mark[c] for c in reqs),
-        model_tag=f"rmf:{oracle.hook}" if oracle.hook != "hash" else "rmf",
-    )
+    tag = f"rmf:{oracle.hook}" if oracle.hook != "hash" else "rmf"
+    return PartialSumTrace.of_walk(res, reqs, tag)
 
 
 @dataclass(frozen=True)
@@ -223,10 +211,7 @@ def checkpoint_grid(
 ) -> CheckpointGrid:
     if x < 2:
         raise ParameterError(f"checkpoint_grid needs x >= 2, got {x}")
-    if N < 1:
-        raise ParameterError(f"checkpoint_grid needs N >= 1, got {N}")
     positions = grid_positions(x, N)
-    check_budget(positions[-1], 1, budget)
     source = RmfWordSource(master_seed=oracle.master_seed, hook=oracle.hook)
     res = run_walks(
         source,
@@ -237,10 +222,9 @@ def checkpoint_grid(
         workers=workers,
         budget=budget,
     )
-    by_mark = {int(m): int(res.values[0, j]) for j, m in enumerate(res.marks)}
     y = tuple(
-        by_mark[pos] / math.sqrt(math.exp(n) * x)
-        for n, pos in zip(range(1, N + 1), positions)
+        int(v) / math.sqrt(math.exp(n) * x)
+        for n, v in enumerate(res.values[0, res.columns(positions)], start=1)
     )
     return CheckpointGrid(
         x=float(x),

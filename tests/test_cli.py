@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -47,9 +48,12 @@ class TestExitCodes:
             ["signprob", "--x", "100", "--N", "2", "--n-boot", "0"],
             ["events", "--x", "1e4", "--N", "0"],
             ["signprob", "--x", "100", "--N", "800"],
+            ["correlations", "--x", "1e3", "--n", "1", "--max-m", "1"],
+            ["correlations", "--x", "1e3", "--n", "4", "--max-m", "3"],
         ],
         ids=["signprob-x-nan", "signprob-x-inf", "signprob-N-0", "mertens-x-nan", "lambda-x-overflow",
-             "signprob-x-past-int64", "signprob-n-boot-0", "events-N-0", "signprob-N-overflow"],
+             "signprob-x-past-int64", "signprob-n-boot-0", "events-N-0", "signprob-N-overflow",
+             "correlations-max-m-equals-n", "correlations-max-m-below-n"],
     )
     def test_bad_number_exits_2(self, argv, capsys):
         assert run(argv + ["--seed", "1", "--samples", "4"]) == 2
@@ -76,6 +80,16 @@ class TestLambdaCommand:
 
     def test_loglog_parametrization(self, capsys):
         assert run(["lambda", "--N", "10", "--loglog-x", "100", "--q", "1,1.5"]) == 0
+
+
+class TestCorrelationsCommand:
+    def test_max_m_pairs_start_at_n(self, capsys):
+        assert run(["correlations", "--x", "1e3", "--n", "3", "--max-m", "5",
+                    "--seed", "1", "--samples", "20"]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"experiment=correlation\[(\d),(\d)\]", out) == [
+            ("3", "4"), ("3", "5"), ("4", "5")
+        ]
 
 
 class TestMertensCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from rmflab import montecarlo
 from rmflab.analysis import exact_correlation
 from rmflab.engine import run_walks
 from rmflab.errors import ParameterError, ResourceError
@@ -12,6 +13,7 @@ from rmflab.montecarlo import (
     EstimateWithCI,
     ExperimentPlan,
     bootstrap_estimate,
+    correlation_table,
     estimate_correlation,
     estimate_event_probs,
     estimate_expected_V,
@@ -21,12 +23,39 @@ from rmflab.montecarlo import (
     moment_table,
     x_ell_grid,
 )
-from rmflab.rmf import RmfWordSource
+from rmflab.rmf import RmfWordSource, grid_positions
 from rmflab.sieve import squarefree_count
 
 
 def plan(seed=101, samples=500, kind="rmf", **kw):
     return ExperimentPlan(master_seed=seed, samples=samples, model=ModelSpec(kind), **kw)
+
+
+@pytest.fixture
+def walk_ends(monkeypatch):
+    """The x_end of every walk the estimators start, in call order."""
+    ends = []
+    walk = montecarlo.collect_walks
+
+    def counted(model, x_end, *args, **kw):
+        ends.append(x_end)
+        return walk(model, x_end, *args, **kw)
+
+    monkeypatch.setattr(montecarlo, "collect_walks", counted)
+    return ends
+
+
+class TestWalkColumns:
+    def test_columns_of_marks(self):
+        res = run_walks(RmfWordSource(master_seed=1), 1000, [1000, 10, 100], range(4))
+        assert list(res.columns([1000, 10])) == [2, 0]
+        assert res.columns([]).size == 0
+
+    @pytest.mark.parametrize("positions", [[11], [10, 2000], [0], [5]])
+    def test_non_mark_position_raises(self, positions):
+        res = run_walks(RmfWordSource(master_seed=1), 1000, [10, 100, 1000], range(4))
+        with pytest.raises(ParameterError):
+            res.columns(positions)
 
 
 class TestPlan:
@@ -176,6 +205,25 @@ class TestCorrelation:
         est = estimate_correlation(plan(samples=2000, seed=2024), 1000.0, 1, 2)
         rho = exact_correlation(1000.0, 1, 2)
         assert abs(est.point - rho) <= 4 * est.se
+
+    @pytest.mark.parametrize("n, m", [(0, 3), (-2, 3), (3, 0)])
+    def test_index_below_one_rejected_before_walking(self, n, m, walk_ends):
+        with pytest.raises(ParameterError):
+            estimate_correlation(plan(samples=10), 1000.0, n, m)
+        assert walk_ends == []
+
+    def test_table_walks_once_and_matches_single_pairs(self, walk_ends):
+        p = plan(samples=130, seed=3, n_boot=100)
+        pairs = [(n, m) for n in range(1, 6) for m in range(n + 1, 7)] + [(4, 2), (3, 3)]
+        table = correlation_table(p, 1000.0, pairs)
+        assert walk_ends == [grid_positions(1000.0, 6)[-1]]
+        # a single pair walks only to e^max(n, m) x and must give the same numbers
+        for n, m in pairs:
+            assert table[(n, m)] == estimate_correlation(p, 1000.0, n, m)
+        assert walk_ends[1:] == [grid_positions(1000.0, max(n, m))[-1] for n, m in pairs if n != m]
+        # the caller's order names the bootstrap stream, the statistic is symmetric
+        assert table[(4, 2)].purpose.endswith("|n=4|m=2")
+        assert table[(4, 2)].point == table[(2, 4)].point
 
     def test_distant_pair_decays(self):
         est = estimate_correlation(plan(samples=1500, seed=7), 1000.0, 1, 6)
