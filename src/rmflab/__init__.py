@@ -14,9 +14,9 @@ from .analysis import (
     SignChangeReport,
     chebyshev_tail_bound,
     count_sign_changes,
-    event_indicators,
     exact_correlation,
     exact_cross_moment,
+    forcing_events,
     harper_predictor,
     lambda_asymptotic,
     lambda_exact,
@@ -47,9 +47,7 @@ from .montecarlo import (
     x_ell_grid,
 )
 from .rmf import (
-    CheckpointGrid,
     SignOracle,
-    checkpoint_grid,
     f_value,
     rmf_trace,
     sign_of_prime,
@@ -73,14 +71,13 @@ __all__ = [
     # walks
     "PartialSumTrace", "WalkResult", "run_walks",
     "SignOracle", "sign_of_prime", "f_value", "rmf_trace",
-    "CheckpointGrid", "checkpoint_grid",
     # models
     "ModelSpec", "SidonSet", "mian_chowla", "sample_path", "collect_walks",
     "psi_predictor", "psi_stability_check",
     # analysis
     "LambdaParams", "lambda_exact", "lambda_asymptotic", "harper_predictor",
     "SignChangeReport", "count_sign_changes", "exact_cross_moment",
-    "exact_correlation", "chebyshev_tail_bound", "event_indicators",
+    "exact_correlation", "chebyshev_tail_bound", "forcing_events",
     # experiments
     "ExperimentPlan", "EstimateWithCI", "RunManifest",
     "estimate_moment", "moment_table", "estimate_expected_V",

@@ -8,9 +8,9 @@ Core objects:
 * exact second-order statistics of the normalized walk Y_n, derived from
   Q(x) by orthogonality:  E M(a)M(b) = Q(min(a,b)),  E M(u) = 1;
 * the zero-skip sign-change counter;
-* the indicator events A = [S_N* >= eps * Lambda], B = [|S_N| <= Lambda^{1-delta}]
-  whose joint occurrence forces mixed signs among Y_1..Y_N whenever
-  Lambda^{1-delta} < eps * Lambda.
+* the forcing events A = [S_N* >= eps * Lambda], B = [|S_N| <= Lambda^{1-delta}]
+  on a samples x N matrix of Y_n, whose joint occurrence forces mixed signs
+  among Y_1..Y_N whenever Lambda^{1-delta} < eps * Lambda.
 
 Parameters x far beyond float range are supported through the log-log
 parametrization: loglog(e^n x) = llx + log1p(n * exp(-llx)).
@@ -25,7 +25,6 @@ import numpy as np
 
 from .census import change_positions_chunk, zero_run_count
 from .errors import ParameterError, ResourceError
-from .rmf import CheckpointGrid
 from .sieve import squarefree_count
 
 SIEVE_ARGUMENT_CEILING = 10**14  # Q(x) stays fast (O(sqrt x)) below this
@@ -201,39 +200,18 @@ def chebyshev_tail_bound(N: int, lam: float, x: float) -> float:
     return exact_s_n_second_moment(N, x) / (lam * lam)
 
 
-@dataclass(frozen=True)
-class EventIndicators:
-    """Occurrence of the forcing events on one checkpoint grid.
+def forcing_events(
+    y: np.ndarray, lambda1: float, epsilon: float, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The forcing events on each row of a samples x N matrix of Y_n.
 
-    ``sign_change_observed`` reports mixed signs among the nonzero Y_n;
-    ``threshold_ok`` states the geometry Lambda^{1-delta} < eps * Lambda
-    under which A and B jointly force such a change.
+    Returns ``(a, b, mixed, threshold_ok)``: per row A = [S_N* >= eps Lambda]
+    and B = [|S_N| <= Lambda^{1-delta}] with S_N = sum Y_n and
+    S_N* = sum |Y_n|, and whether the row's nonzero Y_n take both signs;
+    ``threshold_ok`` states the geometry Lambda^{1-delta} < eps Lambda under
+    which A and B jointly force mixed signs.
     """
-
-    a: bool
-    b: bool
-    sign_change_observed: bool
-    lambda1: float
-    threshold_ok: bool
-
-
-def event_indicators(
-    grid: CheckpointGrid, epsilon: float, delta: float
-) -> EventIndicators:
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if not (0 < delta < 1):
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    lam1 = lambda_exact(LambdaParams(N=grid.N, q=1.0, x=grid.x))
-    a = grid.S_N_star >= epsilon * lam1
-    b = abs(grid.S_N) <= lam1 ** (1.0 - delta)
-    ys = np.asarray(grid.Y)
-    nz = ys[ys != 0]
-    mixed = bool(nz.size > 0 and nz.min() < 0 < nz.max())
-    return EventIndicators(
-        a=bool(a),
-        b=bool(b),
-        sign_change_observed=mixed,
-        lambda1=lam1,
-        threshold_ok=lam1 ** (1.0 - delta) < epsilon * lam1,
-    )
+    a = np.abs(y).sum(axis=1) >= epsilon * lambda1
+    b = np.abs(y.sum(axis=1)) <= lambda1 ** (1.0 - delta)
+    mixed = (y.min(axis=1) < 0) & (y.max(axis=1) > 0)
+    return a, b, mixed, lambda1 ** (1.0 - delta) < epsilon * lambda1

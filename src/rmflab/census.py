@@ -81,6 +81,40 @@ def count_changes_chunk(values: np.ndarray, carry_sign: int) -> tuple[int, int]:
     return changes, carry
 
 
+def count_to_marks(
+    m: np.ndarray,
+    start: int,
+    marks: np.ndarray,
+    carry: int,
+    acc: int,
+    values_row: np.ndarray,
+    changes_row: np.ndarray | None,
+) -> tuple[int, int]:
+    """Read one piece of a walk at its marks and count its changes.
+
+    ``m[i]`` is M(start + i) and ``marks`` is sorted.  For every mark u in
+    the piece, ``values_row[j] = M(u)`` and, on census runs (``changes_row``
+    given), ``changes_row[j]`` is ``acc`` plus the changes completing up to
+    u.  ``carry``/``acc`` are the last nonzero sign and the change count
+    before the piece; the pair after it is returned, so a walk fed piece by
+    piece counts exactly as if it were read whole.
+    """
+    end = start + m.size
+    pos = 0
+    for j in range(int(np.searchsorted(marks, start)), int(np.searchsorted(marks, end))):
+        cut = int(marks[j]) - start
+        if changes_row is not None:
+            delta, carry = count_changes_chunk(m[pos : cut + 1], carry)
+            acc += delta
+            changes_row[j] = acc
+        values_row[j] = m[cut]
+        pos = cut + 1
+    if changes_row is not None and pos < m.size:
+        delta, carry = count_changes_chunk(m[pos:], carry)
+        acc += delta
+    return carry, acc
+
+
 def change_positions_chunk(
     values: np.ndarray, carry_sign: int, offset: int = 0
 ) -> tuple[list[int], int]:

@@ -457,7 +457,8 @@ def cmd_avg_v(args) -> int:
 
 def cmd_mertens(args) -> int:
     t0 = time.time()
-    trace = mertens_trace(int(args.x))
+    budget = getattr(args, "budget", None)
+    trace = mertens_trace(int(args.x), budget=resolve_budget(None if budget is None else int(budget)))
     recs = [
         record("mertens-changes", "mertens", x=trace.x_end, point=float(trace.sign_change_count), n_samples=1),
         record("mertens-final", "mertens", x=trace.x_end, point=float(trace.final_value), n_samples=1),

@@ -32,7 +32,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .census import change_positions_chunk, count_changes_chunk
+from .census import change_positions_chunk, count_to_marks
 from .errors import ParameterError, ResourceError
 
 DEFAULT_BUDGET = 10**9
@@ -137,7 +137,7 @@ def walk_inputs(
     return x_end, marks_arr, samples
 
 
-def _group_blocks(sample_indices: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+def group_blocks(sample_indices: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Group samples into (block, lanes, output_rows) triples."""
     out = []
     blocks = sample_indices >> 6
@@ -186,6 +186,7 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
             for lane in lanes:
                 carry = int(carry_sign[row])
                 acc = int(change_acc[row])
+                changes_row = changes[row] if census else None
                 a = lo
                 while a < hi and not stopped[row]:
                     b = min(a + piece_len, hi)
@@ -202,18 +203,7 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
                         m = np.cumsum(bit * w[span])
                         m += running[row]
                     piece_carry = carry
-                    pos = 0
-                    for j in range(int(np.searchsorted(marks, a)), int(np.searchsorted(marks, b))):
-                        cut = int(marks[j]) - a
-                        if census:
-                            delta, carry = count_changes_chunk(m[pos : cut + 1], carry)
-                            acc += delta
-                            changes[row, j] = acc
-                        values[row, j] = m[cut]
-                        pos = cut + 1
-                    if census and pos < m.size:
-                        delta, carry = count_changes_chunk(m[pos:], carry)
-                        acc += delta
+                    carry, acc = count_to_marks(m, a, marks, carry, acc, values[row], changes_row)
                     running[row] = m[-1]
                     if first_change and b > marks[0] and acc > changes[row, 0]:
                         # the first change after marks[0] completes in this
@@ -262,7 +252,7 @@ def run_walks(
     x_end, marks_arr, samples = walk_inputs(x_end, marks, sample_indices, budget)
     seg_len = segment_len or segment_length_for(x_end)
 
-    blocks = _group_blocks(samples)
+    blocks = group_blocks(samples)
     workers = max(1, int(workers))
     k = marks_arr.size
     float_walk = source.is_float_walk()

@@ -28,7 +28,15 @@ from typing import Callable
 import numpy as np
 
 from . import signs
-from .engine import PartialSumTrace, WalkResult, run_walks, walk_inputs
+from .census import count_to_marks
+from .engine import (
+    PartialSumTrace,
+    WalkResult,
+    group_blocks,
+    run_walks,
+    segment_length_for,
+    walk_inputs,
+)
 from .errors import ParameterError
 from .rmf import RmfWordSource
 from .sieve import squarefree_count
@@ -293,26 +301,39 @@ def _collect_sidon(
     phases = np.array(
         [_sidon_phase(model, master_seed, int(s)) for s in samples]
     )
-    chunk = max(1, int(2e7) // x_end)
+    # rows per chunk: keeps the three chunk-sized float temporaries near 16 MB
+    chunk = max(1, int(2e6) // x_end)
     root2 = math.sqrt(2.0)
     for i0 in range(0, samples.size, chunk):
         i1 = min(i0 + chunk, samples.size)
-        steps = root2 * np.cos(np.outer(phases[i0:i1], terms))
-        m = np.cumsum(steps, axis=1)
-        values[i0:i1] = m[:, marks - 1]
-        if census:
-            from .census import count_changes_chunk
-
-            for r in range(i1 - i0):
-                carry = 0
-                acc = 0
-                pos = 0
-                for j, mk in enumerate(marks):
-                    delta, carry = count_changes_chunk(m[r, pos : int(mk)], carry)
-                    acc += delta
-                    changes[i0 + r, j] = acc
-                    pos = int(mk)
+        m = np.cumsum(root2 * np.cos(np.outer(phases[i0:i1], terms)), axis=1)
+        for row, path in zip(range(i0, i1), m):
+            count_to_marks(path, 1, marks, 0, 0, values[row], changes[row] if census else None)
     return values, changes
+
+
+def _martingale_piece(r: np.ndarray, m: float, lo: float, hi: float) -> np.ndarray:
+    """M after each step r[k] * s_k from M = m, where s_k = hi while M <= 0 else lo.
+
+    The amplitude only changes when M crosses between <= 0 and > 0, so the
+    piece is summed in windows of constant amplitude: a window runs to its
+    end or to the step that flips the regime, and starts at 64 steps,
+    doubling while no flip occurs.  ``np.cumsum`` adds in sequence, so every
+    value equals the step-by-step sum bit for bit.
+    """
+    out = np.empty(r.size)
+    i = 0
+    width = 64
+    while i < r.size:
+        amp = hi if m <= 0.0 else lo
+        c = np.cumsum(np.concatenate(([m], r[i : i + width] * amp)))[1:]
+        flips = np.flatnonzero((c <= 0.0) != (m <= 0.0))
+        n = int(flips[0]) + 1 if flips.size else c.size
+        out[i : i + n] = c[:n]
+        m = c[n - 1]
+        i += n
+        width = 64 if flips.size else 2 * width
+    return out
 
 
 def _collect_martingale(
@@ -323,39 +344,31 @@ def _collect_martingale(
     master_seed: int,
     census: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    blocks = np.unique(samples >> 6)
-    keys = np.array(
-        [signs.block_key(master_seed, int(b), SALT_MARTINGALE) for b in blocks],
-        dtype=np.uint64,
-    )
-    block_pos = {int(b): i for i, b in enumerate(blocks)}
-    which = np.array([block_pos[int(s) >> 6] for s in samples])
-    lanes = (samples & 63).astype(np.uint64)
-    m = np.zeros(samples.size)
-    last_sign = np.zeros(samples.size, dtype=np.int8)
-    counts = np.zeros(samples.size, dtype=np.int64)
     values = np.zeros((samples.size, marks.size))
     changes = np.zeros((samples.size, marks.size), dtype=np.int64) if census else None
-    lo, hi = model.martingale_lo, model.martingale_hi
-    mark_at = {int(mk): j for j, mk in enumerate(marks)}
-    for n in range(1, x_end + 1):
-        words = signs.mix64_array(
-            keys ^ np.uint64(signs.mix64((n * signs.GOLDEN) & signs.MASK64))
-        )
-        bits = ((words[which] >> lanes) & np.uint64(1)).astype(np.float64)
-        r = 1.0 - 2.0 * bits
-        amp = np.where(m <= 0.0, hi, lo)
-        m += r * amp
-        if census:
-            s = np.sign(m).astype(np.int8)
-            nz = s != 0
-            counts += ((s != last_sign) & nz & (last_sign != 0)).astype(np.int64)
-            last_sign = np.where(nz, s, last_sign)
-        j = mark_at.get(n)
-        if j is not None:
-            values[:, j] = m
-            if census:
-                changes[:, j] = counts
+    running = np.zeros(samples.size)
+    carry_sign = np.zeros(samples.size, dtype=np.int64)
+    change_acc = np.zeros(samples.size, dtype=np.int64)
+    seg_len = segment_length_for(x_end)
+    one = np.uint64(1)
+    for block, lanes, rows in group_blocks(samples):
+        key = signs.block_key(master_seed, block, SALT_MARTINGALE)
+        for lo in range(1, x_end + 1, seg_len):
+            n = np.arange(lo, min(lo + seg_len, x_end + 1), dtype=np.uint64)
+            words = signs.sign_words_array(key, n)
+            for lane, row in zip(lanes, rows):
+                r = 1.0 - 2.0 * ((words >> lane) & one).astype(np.float64)
+                m = _martingale_piece(r, running[row], model.martingale_lo, model.martingale_hi)
+                carry_sign[row], change_acc[row] = count_to_marks(
+                    m,
+                    lo,
+                    marks,
+                    int(carry_sign[row]),
+                    int(change_acc[row]),
+                    values[row],
+                    changes[row] if census else None,
+                )
+                running[row] = m[-1]
     return values, changes
 
 
@@ -383,9 +396,10 @@ def collect_walks(
 ) -> WalkResult:
     """Uniform multi-sample collection across all model kinds.
 
-    ``first_change`` lets engine-backed models stop each lane at its first
-    sign change after ``marks[0]``, as in :func:`run_walks`; the other
-    models walk every lane to ``x_end``.
+    ``workers`` and ``first_change`` apply only to the engine-backed models
+    (rmf, iid, harmonic): ``first_change`` stops each lane at its first sign
+    change after ``marks[0]``, as in :func:`run_walks`.  The Sidon and
+    martingale walks run in this process and walk every lane to ``x_end``.
     """
     source = engine_source_for(model, master_seed)
     if source is not None:

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import LambdaParams, lambda_exact
+from .analysis import LambdaParams, forcing_events, lambda_exact
 from .engine import DEFAULT_BUDGET, WalkResult
 from .errors import ParameterError
 from .models import ModelSpec, collect_walks
@@ -291,13 +291,8 @@ def estimate_event_probs(
         raise ParameterError("epsilon must be positive")
     if not (0 < dlt < 1):
         raise ParameterError("delta must lie in (0, 1)")
-    y = _checkpoint_matrix(plan, x, N)
     lam1 = lambda_exact(LambdaParams(N=N, q=1.0, x=x))
-    s_n = y.sum(axis=1)
-    s_star = np.abs(y).sum(axis=1)
-    a = s_star >= eps * lam1
-    b = np.abs(s_n) <= lam1 ** (1.0 - dlt)
-    mixed = (y.min(axis=1) < 0) & (y.max(axis=1) > 0)
+    a, b, mixed, threshold_ok = forcing_events(_checkpoint_matrix(plan, x, N), lam1, eps, dlt)
     base = f"events|model={plan.model.kind}|x={x!r}|N={N}|eps={eps!r}|delta={dlt!r}"
     p_a = bootstrap_estimate(
         a.astype(np.float64), plan.master_seed, base + "|A", plan.n_boot
@@ -318,7 +313,7 @@ def estimate_event_probs(
         p_change_given_ab=cond,
         n_ab=n_ab,
         lambda1=lam1,
-        threshold_ok=lam1 ** (1.0 - dlt) < eps * lam1,
+        threshold_ok=threshold_ok,
     )
 
 

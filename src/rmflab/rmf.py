@@ -5,10 +5,6 @@ primes, extended by f(n) = prod f(p) over the distinct prime factors of
 squarefree n and f(n) = 0 otherwise (f(1) = 1).  Signs are drawn by the
 counter-based generator in :mod:`signs`, so a sample is identified by
 (master_seed, sample_index) alone and never stored.
-
-``checkpoint_grid`` evaluates the normalized walk at exponentially spaced
-times:  Y_n = M(floor(e^n x)) / sqrt(e^n x)  for n = 1..N, together with
-the aggregates S_N = sum Y_n and S_N* = sum |Y_n|.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from math import isqrt
 import numpy as np
 
 from . import signs
-from .engine import DEFAULT_BUDGET, PartialSumTrace, run_walks
+from .engine import PartialSumTrace, run_walks
 from .errors import ParameterError
 from .sieve import FactorRecord, PrimeTable, primes_up_to, segment_radical_data
 
@@ -181,17 +177,6 @@ def rmf_trace(
     return PartialSumTrace.of_walk(res, reqs, tag)
 
 
-@dataclass(frozen=True)
-class CheckpointGrid:
-    """Normalized walk Y_n = M(floor(e^n x))/sqrt(e^n x), n = 1..N."""
-
-    x: float
-    N: int
-    Y: tuple[float, ...]
-    S_N: float
-    S_N_star: float
-
-
 def grid_positions(x: float, N: int) -> list[int]:
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
@@ -199,37 +184,3 @@ def grid_positions(x: float, N: int) -> list[int]:
         return [int(math.floor(math.exp(n) * x)) for n in range(1, N + 1)]
     except OverflowError as exc:
         raise ParameterError(f"e^N x overflows at N={N}, x={x}") from exc
-
-
-def checkpoint_grid(
-    oracle: SignOracle,
-    x: float,
-    N: int,
-    *,
-    budget: int | None = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> CheckpointGrid:
-    if x < 2:
-        raise ParameterError(f"checkpoint_grid needs x >= 2, got {x}")
-    positions = grid_positions(x, N)
-    source = RmfWordSource(master_seed=oracle.master_seed, hook=oracle.hook)
-    res = run_walks(
-        source,
-        positions[-1],
-        marks=positions,
-        sample_indices=[oracle.sample_index],
-        census=False,
-        workers=workers,
-        budget=budget,
-    )
-    y = tuple(
-        int(v) / math.sqrt(math.exp(n) * x)
-        for n, v in enumerate(res.values[0, res.columns(positions)], start=1)
-    )
-    return CheckpointGrid(
-        x=float(x),
-        N=int(N),
-        Y=y,
-        S_N=math.fsum(y),
-        S_N_star=math.fsum(abs(v) for v in y),
-    )

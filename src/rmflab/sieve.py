@@ -21,8 +21,8 @@ from math import isqrt
 
 import numpy as np
 
-from .census import count_changes_chunk
-from .engine import PartialSumTrace, segment_length_for
+from .census import count_to_marks
+from .engine import PartialSumTrace, WalkResult, segment_length_for, walk_inputs
 from .errors import InternalError, ParameterError
 
 MAX_PRIME_LIMIT = 1 << 40
@@ -245,25 +245,25 @@ def factor_segment(lo: int, hi: int, primes: PrimeTable) -> FactorSegment:
     )
 
 
-def mertens_trace(x: int, checkpoints: list[int] | None = None) -> PartialSumTrace:
+def mertens_trace(
+    x: int, checkpoints: list[int] | None = None, *, budget: int | None = None
+) -> PartialSumTrace:
     """Streaming partial sums of mu(n) for n <= x with a sign-change census.
 
     Written directly on the segmented radical data (no sampling engine), so
     it can serve as an independent cross-check of the multiplicative walk
-    with all signs set to -1.
+    with all signs set to -1.  ``budget`` bounds the x steps as it bounds
+    one sample's walk; the default is unbounded.
     """
-    if x < 1:
-        raise ParameterError(f"mertens_trace needs x >= 1, got {x}")
-    x = int(x)
-    marks = sorted(set(int(c) for c in (checkpoints or [])))
-    if marks and (marks[0] < 1 or marks[-1] > x):
-        raise ParameterError("checkpoints must lie in [1, x]")
+    reqs = sorted(set(int(c) for c in (checkpoints or [])))
+    x, marks, _ = walk_inputs(x, [*reqs, x], [0], budget)
     primes = primes_up_to(max(2, isqrt(x)))
     seg = segment_length_for(x)
+    values = np.zeros((1, marks.size), dtype=np.int64)
+    changes = np.zeros((1, marks.size), dtype=np.int64)
     total = 0
-    changes = 0
     carry = 0
-    mark_values: dict[int, int] = {}
+    acc = 0
     lo = 1
     while lo <= x:
         hi = min(lo + seg, x + 1)
@@ -273,22 +273,8 @@ def mertens_trace(x: int, checkpoints: list[int] | None = None) -> PartialSumTra
         ).astype(np.int8)
         m = np.cumsum(mu, dtype=np.int64)
         m += total
-        cuts = [c - lo for c in marks if lo <= c < hi]
-        start = 0
-        for cut in cuts + [hi - lo - 1]:
-            part = m[start : cut + 1]
-            delta, carry = count_changes_chunk(part, carry)
-            changes += delta
-            start = cut + 1
-        for c in cuts:
-            mark_values[c + lo] = int(m[c])
+        carry, acc = count_to_marks(m, lo, marks, carry, acc, values[0], changes[0])
         total = int(m[-1])
         lo = hi
-    return PartialSumTrace(
-        x_end=x,
-        final_value=total,
-        sign_change_count=changes,
-        checkpoint_requests=tuple(marks),
-        checkpoint_values=tuple(mark_values[c] for c in marks),
-        model_tag="mertens",
-    )
+    res = WalkResult(np.zeros(1, dtype=np.int64), marks, values, changes, "mertens")
+    return PartialSumTrace.of_walk(res, reqs, "mertens")

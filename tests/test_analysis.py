@@ -7,28 +7,26 @@ from hypothesis import strategies as st
 
 from rmflab.acceptance import _naive_recount
 from rmflab.analysis import (
-    EventIndicators,
     LambdaParams,
     chebyshev_tail_bound,
     count_sign_changes,
-    event_indicators,
     exact_correlation,
     exact_cross_moment,
     exact_s_n_second_moment,
+    forcing_events,
     harper_predictor,
     lambda_asymptotic,
     lambda_exact,
 )
 from rmflab.errors import ParameterError
-from rmflab.rmf import CheckpointGrid
 from rmflab.sieve import squarefree_count
 
 
-def make_grid(y, x=1000.0):
-    y = tuple(float(v) for v in y)
-    return CheckpointGrid(
-        x=x, N=len(y), Y=y, S_N=math.fsum(y), S_N_star=math.fsum(abs(v) for v in y)
-    )
+def events_of(rows, epsilon, delta, x=1000.0):
+    """forcing_events on a matrix of Y rows, with Lambda from its N and x."""
+    y = np.asarray(rows, dtype=np.float64)
+    lam1 = lambda_exact(LambdaParams(N=y.shape[1], q=1.0, x=x))
+    return forcing_events(y, lam1, epsilon, delta)
 
 
 class TestLambda:
@@ -199,40 +197,36 @@ class TestChebyshev:
 
 class TestEvents:
     def test_constant_positive_grid(self):
-        g = make_grid([5.0] * 6)
-        rep = event_indicators(g, epsilon=0.1, delta=0.1)
-        assert rep.a  # S* is large
-        assert not rep.b  # |S| equally large
-        assert not rep.sign_change_observed
-
-    def test_epsilon_zero_rejected(self):
-        g = make_grid([1.0, -1.0])
-        with pytest.raises(ParameterError):
-            event_indicators(g, epsilon=0.0, delta=0.1)
-        with pytest.raises(ParameterError):
-            event_indicators(g, epsilon=0.1, delta=1.0)
+        a, b, mixed, _ = events_of([[5.0] * 6], epsilon=0.1, delta=0.1)
+        assert a[0]  # S* is large
+        assert not b[0]  # |S| equally large
+        assert not mixed[0]
 
     def test_forcing_implication_exhaustive_small(self):
         # over all sign patterns of length <= 4: if the geometry holds and
         # A and B both occur, the Y signs must be mixed
+        forced = 0
         for n_grid in (2, 3, 4):
-            for code in range(3**n_grid):
-                digits = []
-                c = code
-                for _ in range(n_grid):
-                    digits.append(c % 3 - 1)
-                    c //= 3
-                y = [2.0 * d for d in digits]
-                g = make_grid(y)
-                # pick eps/delta so the forcing threshold holds for this grid
-                rep = event_indicators(g, epsilon=0.45, delta=0.9)
-                if rep.threshold_ok and rep.a and rep.b:
-                    assert rep.sign_change_observed
+            digits = np.array(
+                [[code // 3**k % 3 - 1 for k in range(n_grid)] for code in range(3**n_grid)]
+            )
+            a, b, mixed, threshold_ok = events_of(2.0 * digits, epsilon=0.45, delta=0.9)
+            if threshold_ok:
+                assert np.all(mixed[a & b])
+                forced += int((a & b).sum())
+        assert forced > 0  # the geometry holds at N = 4 with these eps, delta
 
     @settings(max_examples=200)
-    @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=8))
-    def test_forcing_implication_random(self, y):
-        g = make_grid(y)
-        rep = event_indicators(g, epsilon=0.3, delta=0.95)
-        if rep.threshold_ok and rep.a and rep.b:
-            assert rep.sign_change_observed
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(-3, 3, allow_nan=False), min_size=n, max_size=n),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_forcing_implication_random(self, rows):
+        a, b, mixed, threshold_ok = events_of(rows, epsilon=0.3, delta=0.95)
+        if threshold_ok:
+            assert np.all(mixed[a & b])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from rmflab.census import (
     change_positions_chunk,
     count_changes_chunk,
+    count_to_marks,
     zero_run_count,
 )
 
@@ -67,3 +68,25 @@ def test_zero_run_count():
     assert zero_run_count(np.array([0, 0, 1, 0, 2, 0, 0])) == 3
     assert zero_run_count(np.array([1, 2])) == 0
     assert zero_run_count(np.array([0])) == 1
+
+
+class TestCountToMarks:
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.integers(-2, 2), min_size=1, max_size=60),
+        st.lists(st.integers(1, 60), max_size=8),
+        st.lists(st.integers(1, 59), max_size=4),
+    )
+    def test_piecewise_reading_matches_whole_walk(self, steps, marks, cuts):
+        m = np.cumsum(steps)
+        x = m.size
+        marks = np.array(sorted({mk for mk in marks if mk <= x} | {x}))
+        values = np.zeros(marks.size, dtype=np.int64)
+        changes = np.zeros(marks.size, dtype=np.int64)
+        carry, acc = 0, 0
+        edges = sorted({0, x, *(c for c in cuts if c < x)})
+        for a, b in zip(edges, edges[1:]):
+            carry, acc = count_to_marks(m[a:b], a + 1, marks, carry, acc, values, changes)
+        assert values.tolist() == m[marks - 1].tolist()
+        assert changes.tolist() == [naive_count(m[:mk])[0] for mk in marks]
+        assert (acc, carry) == naive_count(m)

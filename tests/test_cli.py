@@ -100,6 +100,14 @@ class TestMertensCommand:
         by_exp = {r["experiment"]: r for r in rows}
         assert float(by_exp["mertens-final"]["point"]) == -23.0
 
+    def test_budget_exceeded_exits_3(self, monkeypatch, capsys):
+        # x steps of one sample, as simulate counts them
+        assert run(["mertens", "--x", "1e6", "--budget", "10"]) == 3
+        assert "rmflab: error: resource:" in capsys.readouterr().err
+        monkeypatch.setenv("RMFLAB_BUDGET", "999")
+        assert run(["mertens", "--x", "1000"]) == 3
+        assert run(["mertens", "--x", "999"]) == 0
+
 
 class TestExport:
     def test_csv_round_trip(self, tmp_path):

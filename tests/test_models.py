@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from rmflab import engine, signs
+from rmflab.analysis import count_sign_changes
 from rmflab.errors import ParameterError
 from rmflab.models import (
     MIAN_CHOWLA_MAX,
+    SALT_MARTINGALE,
     ModelSpec,
     collect_walks,
     mian_chowla,
@@ -13,6 +16,39 @@ from rmflab.models import (
     psi_stability_check,
     sample_path,
 )
+
+
+def martingale_per_integer(model, x_end, marks, samples, master_seed):
+    """Reference bounded-martingale walk: one step for all samples per integer.
+
+    M(n) = M(n-1) + r_n s_n with s_n = B if M(n-1) <= 0 else A, the change
+    count kept by a direct zero-skip comparison against the last nonzero sign.
+    """
+    samples = np.asarray(samples, dtype=np.int64)
+    keys = np.array(
+        [signs.block_key(master_seed, int(s) >> 6, SALT_MARTINGALE) for s in samples],
+        dtype=np.uint64,
+    )
+    lanes = (samples & 63).astype(np.uint64)
+    m = np.zeros(samples.size)
+    last_sign = np.zeros(samples.size, dtype=np.int8)
+    counts = np.zeros(samples.size, dtype=np.int64)
+    values = np.zeros((samples.size, len(marks)))
+    changes = np.zeros((samples.size, len(marks)), dtype=np.int64)
+    mark_at = {int(mk): j for j, mk in enumerate(marks)}
+    for n in range(1, x_end + 1):
+        words = signs.mix64_array(keys ^ np.uint64(signs.mix64((n * signs.GOLDEN) & signs.MASK64)))
+        r = 1.0 - 2.0 * ((words >> lanes) & np.uint64(1)).astype(np.float64)
+        m += r * np.where(m <= 0.0, model.martingale_hi, model.martingale_lo)
+        s = np.sign(m).astype(np.int8)
+        nz = s != 0
+        counts += (nz & (last_sign != 0) & (s != last_sign)).astype(np.int64)
+        last_sign = np.where(nz, s, last_sign)
+        j = mark_at.get(n)
+        if j is not None:
+            values[:, j] = m
+            changes[:, j] = counts
+    return values, changes
 
 
 class TestMianChowla:
@@ -92,6 +128,34 @@ class TestSamplePath:
     def test_checkpoint_validation(self):
         with pytest.raises(ParameterError):
             sample_path(ModelSpec("iid_rademacher"), 10, 1, checkpoints=[20])
+
+
+class TestMartingaleWalk:
+    SAMPLES = [0, 5, 63, 64, 130, 200]
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (1.0, 1.0), (0.3, 0.9), (0.25, 2.0)])
+    def test_matches_per_integer_reference(self, lo, hi, monkeypatch):
+        # segments of 256 integers put marks on both sides of segment edges
+        monkeypatch.setattr(engine, "MIN_SEGMENT", 256)
+        spec = ModelSpec("bounded_martingale", martingale_lo=lo, martingale_hi=hi)
+        x_end = 1500
+        marks = [1, 2, 64, 65, 255, 256, 257, 512, 513, 1024, x_end]
+        ref_values, ref_changes = martingale_per_integer(spec, x_end, marks, self.SAMPLES, 17)
+        res = collect_walks(spec, x_end, marks, self.SAMPLES, 17)
+        assert np.array_equal(res.values, ref_values)
+        assert np.array_equal(res.changes, ref_changes)
+        plain = collect_walks(spec, x_end, marks, self.SAMPLES, 17, census=False)
+        assert np.array_equal(plain.values, ref_values)
+        assert plain.changes is None
+
+    @pytest.mark.parametrize("kind", ["sidon_cosine", "bounded_martingale"])
+    def test_changes_match_count_sign_changes_on_full_path(self, kind):
+        x = 400
+        res = collect_walks(ModelSpec(kind), x, range(1, x + 1), self.SAMPLES, 23)
+        assert res.changes[:, -1].sum() > 0
+        for values, changes in zip(res.values, res.changes):
+            positions = count_sign_changes(values).positions
+            assert np.array_equal(changes, np.searchsorted(positions, np.arange(x), side="right"))
 
 
 class TestVarianceDeclarations:

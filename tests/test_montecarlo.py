@@ -191,9 +191,11 @@ class TestEvents:
         )
         assert res.p_b.point >= 0.85
 
-    def test_parameter_checks(self):
-        with pytest.raises(ParameterError):
-            estimate_event_probs(plan(samples=10), 100.0, 3, epsilon=0.0)
+    def test_parameter_checks(self, walk_ends):
+        for eps, delta in [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, 1.0), (0.1, -0.5)]:
+            with pytest.raises(ParameterError):
+                estimate_event_probs(plan(samples=10), 100.0, 3, epsilon=eps, delta=delta)
+        assert walk_ends == []
 
 
 class TestCorrelation:

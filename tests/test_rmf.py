@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rmflab.errors import InternalError, ParameterError
-from rmflab.montecarlo import ExperimentPlan, bootstrap_estimate
+from rmflab import models
+from rmflab.errors import InternalError, ParameterError, ResourceError
+from rmflab.montecarlo import ExperimentPlan, _checkpoint_matrix, bootstrap_estimate
 from rmflab.models import ModelSpec, collect_walks
 from rmflab.rmf import (
-    CheckpointGrid,
+    RmfWordSource,
     SignOracle,
-    checkpoint_grid,
     f_value,
     grid_positions,
     rmf_trace,
@@ -125,22 +125,25 @@ class TestTrace:
 
 
 class TestCheckpointGrid:
-    def test_all_plus_matches_q(self):
-        g = checkpoint_grid(SignOracle(1, hook="plus"), 50.0, 3)
-        for n, y in zip(range(1, 4), g.Y):
+    """The normalized walk Y_n = M(floor(e^n x))/sqrt(e^n x) of the estimators."""
+
+    def test_all_plus_matches_q(self, monkeypatch):
+        plus = lambda master_seed: RmfWordSource(master_seed=master_seed, hook="plus")
+        monkeypatch.setattr(models, "RmfWordSource", plus)
+        y = _checkpoint_matrix(ExperimentPlan(master_seed=1, samples=3), 50.0, 3)
+        for n in range(1, 4):
             u = math.floor(math.exp(n) * 50.0)
-            assert y == pytest.approx(squarefree_count(u) / math.sqrt(math.exp(n) * 50.0))
+            assert np.all(y[:, n - 1] == squarefree_count(u) / math.sqrt(math.exp(n) * 50.0))
 
     def test_definition_n1_x2(self):
-        g = checkpoint_grid(SignOracle(7), 2.0, 1)
+        # each row equals that sample's own trace at floor(e^n x), divided exactly
         assert math.floor(2 * math.e) == 5
-        tr = rmf_trace(SignOracle(7), 5)
-        assert g.Y[0] == pytest.approx(tr.final_value / math.sqrt(2 * math.e))
-
-    def test_star_dominates(self):
-        for seed in range(5):
-            g = checkpoint_grid(SignOracle(seed), 100.0, 4)
-            assert g.S_N_star >= abs(g.S_N)
+        for x, N in ((2.0, 1), (30.0, 4)):
+            y = _checkpoint_matrix(ExperimentPlan(master_seed=7, samples=70), x, N)
+            for i in (0, 1, 63, 64, 69):
+                tr = rmf_trace(SignOracle(7, i), grid_positions(x, N)[-1], grid_positions(x, N))
+                want = [v / math.sqrt(math.exp(n) * x) for n, v in enumerate(tr.checkpoint_values, 1)]
+                assert y[i].tolist() == want
 
     def test_second_moment_of_y_in_band(self):
         # exact E Y_n^2 = Q(floor(e^n x))/(e^n x) must lie in [3/pi^2, 1]
@@ -153,17 +156,16 @@ class TestCheckpointGrid:
                 assert 3 / math.pi**2 <= val <= 1.0
 
     def test_parameter_errors(self):
+        p = ExperimentPlan(master_seed=1, samples=2)
         with pytest.raises(ParameterError):
-            checkpoint_grid(SignOracle(1), 1.0, 3)
+            _checkpoint_matrix(p, 0.2, 3)  # floor(e * 0.2) = 0 is no walk position
         with pytest.raises(ParameterError):
-            checkpoint_grid(SignOracle(1), 10.0, 0)
+            _checkpoint_matrix(p, 10.0, 0)
 
     def test_budget_reports_required_size(self):
-        from rmflab.errors import ResourceError
-
         with pytest.raises(ResourceError) as err:
-            checkpoint_grid(SignOracle(1), 1e6, 20)
-        assert err.value.required == math.floor(math.exp(20) * 1e6)
+            _checkpoint_matrix(ExperimentPlan(master_seed=1, samples=3), 1e6, 20)
+        assert err.value.required == 3 * math.floor(math.exp(20) * 1e6)
 
 
 class TestMoments:
