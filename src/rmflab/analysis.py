@@ -200,6 +200,14 @@ def chebyshev_tail_bound(N: int, lam: float, x: float) -> float:
     return exact_s_n_second_moment(N, x) / (lam * lam)
 
 
+def check_event_params(epsilon: float, delta: float) -> None:
+    """Reject an epsilon <= 0 or a delta outside (0, 1) for the forcing events."""
+    if epsilon <= 0:
+        raise ParameterError("epsilon must be positive")
+    if not (0 < delta < 1):
+        raise ParameterError("delta must lie in (0, 1)")
+
+
 def forcing_events(
     y: np.ndarray, lambda1: float, epsilon: float, delta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -211,6 +219,7 @@ def forcing_events(
     ``threshold_ok`` states the geometry Lambda^{1-delta} < eps Lambda under
     which A and B jointly force mixed signs.
     """
+    check_event_params(epsilon, delta)
     a = np.abs(y).sum(axis=1) >= epsilon * lambda1
     b = np.abs(y.sum(axis=1)) <= lambda1 ** (1.0 - delta)
     mixed = (y.min(axis=1) < 0) & (y.max(axis=1) > 0)

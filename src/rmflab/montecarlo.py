@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import LambdaParams, forcing_events, lambda_exact
+from .analysis import LambdaParams, check_event_params, forcing_events, lambda_exact
 from .engine import DEFAULT_BUDGET, WalkResult
 from .errors import ParameterError
 from .models import ModelSpec, collect_walks
@@ -287,10 +287,7 @@ def estimate_event_probs(
 ) -> EventProbEstimates:
     eps = plan.epsilon if epsilon is None else epsilon
     dlt = plan.delta if delta is None else delta
-    if eps <= 0:
-        raise ParameterError("epsilon must be positive")
-    if not (0 < dlt < 1):
-        raise ParameterError("delta must lie in (0, 1)")
+    check_event_params(eps, dlt)
     lam1 = lambda_exact(LambdaParams(N=N, q=1.0, x=x))
     a, b, mixed, threshold_ok = forcing_events(_checkpoint_matrix(plan, x, N), lam1, eps, dlt)
     base = f"events|model={plan.model.kind}|x={x!r}|N={N}|eps={eps!r}|delta={dlt!r}"

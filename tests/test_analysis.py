@@ -202,6 +202,13 @@ class TestEvents:
         assert not b[0]  # |S| equally large
         assert not mixed[0]
 
+    def test_epsilon_zero_rejected(self):
+        y = np.array([[1.0, -1.0]])
+        with pytest.raises(ParameterError):
+            forcing_events(y, 1.0, epsilon=0.0, delta=0.1)
+        with pytest.raises(ParameterError):
+            forcing_events(y, 1.0, epsilon=0.1, delta=1.0)
+
     def test_forcing_implication_exhaustive_small(self):
         # over all sign patterns of length <= 4: if the geometry holds and
         # A and B both occur, the Y signs must be mixed
