@@ -46,31 +46,18 @@ from .montecarlo import (
     moment_table,
     x_ell_grid,
 )
-from .rmf import (
-    SignOracle,
-    f_value,
-    rmf_trace,
-    sign_of_prime,
-)
-from .sieve import (
-    FactorSegment,
-    PrimeTable,
-    factor_segment,
-    mertens_trace,
-    primes_up_to,
-    squarefree_count,
-)
+from .rmf import SignOracle, rmf_trace
+from .sieve import PrimeTable, mertens_trace, primes_up_to, squarefree_count
 
 __all__ = [
     "__version__",
     # errors
     "RmflabError", "ParameterError", "ResourceError", "InternalError",
     # sieve
-    "PrimeTable", "FactorSegment", "primes_up_to", "squarefree_count",
-    "factor_segment", "mertens_trace",
+    "PrimeTable", "primes_up_to", "squarefree_count", "mertens_trace",
     # walks
     "PartialSumTrace", "WalkResult", "run_walks",
-    "SignOracle", "sign_of_prime", "f_value", "rmf_trace",
+    "SignOracle", "rmf_trace",
     # models
     "ModelSpec", "SidonSet", "mian_chowla", "sample_path", "collect_walks",
     "psi_predictor", "psi_stability_check",

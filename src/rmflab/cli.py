@@ -539,6 +539,9 @@ def run(argv: list[str]) -> int:
     except ResourceError as exc:
         print(f"rmflab: error: resource: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"rmflab: error: resource: out of memory: {exc}", file=sys.stderr)
+        return 3
     except RmflabError as exc:
         print(f"rmflab: error: internal: {exc}", file=sys.stderr)
         return 1

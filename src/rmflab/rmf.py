@@ -18,7 +18,14 @@ import numpy as np
 from . import signs
 from .engine import PartialSumTrace, run_walks
 from .errors import ParameterError
-from .sieve import FactorRecord, PrimeTable, primes_up_to, segment_radical_data
+from .sieve import (
+    PrimeTable,
+    primes_up_to,
+    segment_radical_data,
+    small_primes,
+    tile_residues,
+    wheel_pattern,
+)
 
 HOOKS = ("hash", "plus", "minus")
 _ALL_ONES = (1 << 64) - 1
@@ -44,48 +51,6 @@ class SignOracle:
             raise ParameterError("sample_index must be >= 0")
 
 
-def _debug_check_prime(p: int) -> None:
-    if p < 2:
-        raise ParameterError(f"{p} is not prime")
-    if p in (2, 3):
-        return
-    if p % 2 == 0:
-        raise ParameterError(f"{p} is not prime")
-    bound = min(isqrt(p), 1_000_000)  # cheap check only; skip for huge p
-    d = 3
-    while d <= bound:
-        if p % d == 0:
-            raise ParameterError(f"{p} is not prime")
-        d += 2
-
-
-def sign_of_prime(oracle: SignOracle, p: int) -> int:
-    """f(p) in {+1, -1}; pure in (master_seed, sample_index, p)."""
-    if __debug__:
-        _debug_check_prime(int(p))
-    if oracle.hook == "plus":
-        return 1
-    if oracle.hook == "minus":
-        return -1
-    block = oracle.sample_index >> 6
-    lane = oracle.sample_index & 63
-    key = signs.block_key(oracle.master_seed, block, signs.SALT_PRIME)
-    return signs.sign_bit_to_int(signs.sign_word(key, int(p)), lane)
-
-
-def f_value(oracle: SignOracle, record: FactorRecord) -> int:
-    """f(n) from a factorization record: 0 off squarefrees, else the product."""
-    record.validate()
-    if not record.squarefree:
-        return 0
-    out = 1
-    for p in record.prime_factors:
-        out *= sign_of_prime(oracle, p)
-    if record.cofactor > 1:
-        out *= sign_of_prime(oracle, record.cofactor)
-    return out
-
-
 @dataclass(frozen=True)
 class RmfWordSource:
     """Engine source streaming sign-parity words of f over segments."""
@@ -107,26 +72,22 @@ class RmfWordSource:
     def segment(self, state, lo: int, hi: int):
         primes: PrimeTable = state["primes"]
         data = segment_radical_data(lo, hi, primes, want_parity=self.hook != "hash")
-        ctx = {
-            "lo": lo,
-            "hi": hi,
-            "sqf": data.squarefree,
-            "primes": primes.primes,
-            "pm": state["pm"],
-            "lim": isqrt(hi - 1),
-        }
-        if self.hook == "hash":
-            big = data.cofactor > 1
-            mc = signs.mix64_array(
-                data.cofactor.astype(np.uint64) * np.uint64(signs.GOLDEN)
-            )
-            ctx["mc"] = mc
-            ctx["big_mask"] = big.astype(np.uint64)
-        else:
+        ctx = {"lo": lo, "hi": hi, "sqf": data.squarefree}
+        if self.hook != "hash":
             ctx["parity"] = data.omega_parity
+            return ctx
+        small, k = small_primes(primes, hi)
+        ctx["k"] = k
+        ctx["pm"] = state["pm"][: small.size]
+        ctx["strided"] = list(zip(((-lo) % small[k:]).tolist(), small[k:].tolist()))
+        ctx["big"] = data.big
+        ctx["mc"] = signs.mix64_array(
+            data.big_prime.astype(np.uint64) * np.uint64(signs.GOLDEN)
+        )
         return ctx
 
     def block_words(self, ctx, block: int):
+        """Sign-parity words of one block, exact on every squarefree index."""
         L = ctx["hi"] - ctx["lo"]
         sqf = ctx["sqf"]
         if self.hook == "plus":
@@ -134,19 +95,16 @@ class RmfWordSource:
         if self.hook == "minus":
             words = np.where(ctx["parity"], np.uint64(_ALL_ONES), np.uint64(0))
             return words, sqf
-        key = signs.block_key(self.master_seed, block, signs.SALT_PRIME)
-        lo = ctx["lo"]
-        lim = ctx["lim"]
-        words = np.zeros(L, dtype=np.uint64)
-        hsmall = signs.mix64_array(ctx["pm"] ^ np.uint64(key))
-        for i, p in enumerate(ctx["primes"]):
-            p = int(p)
-            if p > lim:
-                break
-            words[(-lo) % p :: p] ^= hsmall[i]
-        hcof = signs.mix64_array(ctx["mc"] ^ np.uint64(key))
-        hcof *= ctx["big_mask"]
-        words ^= hcof
+        key = np.uint64(signs.block_key(self.master_seed, block, signs.SALT_PRIME))
+        k = ctx["k"]
+        hsmall = signs.mix64_array(ctx["pm"] ^ key)
+        pattern = wheel_pattern(k, hsmall, np.bitwise_xor, 0, np.uint64)
+        words = tile_residues(pattern, ctx["lo"], L)
+        for (o, p), h in zip(ctx["strided"], hsmall[k:]):
+            view = words[o::p]
+            np.bitwise_xor(view, h, out=view)
+        big = ctx["big"]
+        words[big] ^= signs.mix64_array(ctx["mc"] ^ key)
         return words, sqf
 
     def weights(self, ctx):

@@ -16,14 +16,22 @@ all-minus-signs multiplicative walk).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
 from .census import count_to_marks
-from .engine import PartialSumTrace, WalkResult, segment_length_for, walk_inputs
-from .errors import InternalError, ParameterError
+from .engine import (
+    INT32_CEILING,
+    PartialSumTrace,
+    WalkResult,
+    segment_length_for,
+    walk_inputs,
+)
+from .errors import ParameterError
 
 MAX_PRIME_LIMIT = 1 << 40
 
@@ -81,27 +89,76 @@ def squarefree_count(x: int) -> int:
     return int(np.sum(mu[1:].astype(np.int64) * (x // (d * d))))
 
 
+WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def wheel_pattern(k: int, values, ufunc: np.ufunc, identity, dtype) -> np.ndarray:
+    """One period of a fold over the first ``k`` wheel primes.
+
+    Entry r (0 <= r < 2*3*...*p_k) is ``ufunc`` folded, starting from
+    ``identity``, over ``values[i]`` for each of the first k wheel primes
+    that divides r.
+    """
+    out = np.full(math.prod(WHEEL_PRIMES[:k]), identity, dtype=dtype)
+    for p, v in zip(WHEEL_PRIMES[:k], values):
+        view = out[::p]
+        ufunc(view, v, out=view)
+    return out
+
+
+def tile_residues(pattern: np.ndarray, lo: int, length: int) -> np.ndarray:
+    """A fresh array holding ``pattern[(lo + i) % pattern.size]`` for i < length."""
+    return np.resize(np.roll(pattern, -(lo % pattern.size)), length)
+
+
+def small_primes(primes: PrimeTable, hi: int) -> tuple[np.ndarray, int]:
+    """The primes p <= isqrt(hi-1) of the table, and k: how many are wheel primes."""
+    small = primes.primes[: np.searchsorted(primes.primes, isqrt(hi - 1), side="right")]
+    return small, min(small.size, len(WHEEL_PRIMES))
+
+
+@functools.cache
+def _signed_wheel(k: int) -> np.ndarray:
+    """Product of -p over the first k wheel primes p dividing r, for each residue r."""
+    out = wheel_pattern(k, [-p for p in WHEEL_PRIMES], np.multiply, 1, np.int64)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass
 class SegmentData:
     """Radical structure of the integers in [lo, hi) against small primes.
 
-    ``cofactor`` is n divided by the product of its distinct prime factors
-    <= sqrt(hi-1); for squarefree n it is the (single) large prime factor
-    or 1.  ``omega_parity`` (filled on request) is the parity of the number
-    of distinct prime factors; like ``cofactor`` it is only meaningful on
-    squarefree entries, which is all the multiplicative walks consume.
+    Small primes are those <= sqrt(hi-1).  A squarefree n is the product of
+    its small prime factors times at most one big prime factor.  ``big``
+    holds the flat indices (n - lo) of the squarefree n that have one, and
+    ``big_prime`` that factor.  ``omega_parity`` (filled on request) is the
+    parity of the number of distinct prime factors; it is only meaningful
+    on squarefree entries, which is all the multiplicative walks consume.
     """
 
     lo: int
     hi: int
     squarefree: np.ndarray
-    cofactor: np.ndarray
+    big: np.ndarray
+    big_prime: np.ndarray
     omega_parity: np.ndarray | None = None
 
 
 def segment_radical_data(
     lo: int, hi: int, primes: PrimeTable, want_parity: bool = False
 ) -> SegmentData:
+    """Sieve [lo, hi) by the small primes p <= isqrt(hi-1) of ``primes``.
+
+    Each n gets the product of -p over its small prime factors p: its
+    absolute value is the small part of n's radical, its sign the parity
+    of their number.  The product starts as a tiled per-residue pattern of
+    the first k wheel primes 2..13 that are small; every later small prime
+    takes one strided pass.  A squarefree n (no small p^2 divides it) has
+    a big prime factor exactly when that radical part is below n.  Raises
+    ``ParameterError`` for an empty segment, lo < 1 or a prime table short
+    of isqrt(hi-1).
+    """
     if not (1 <= lo < hi):
         raise ParameterError(f"segment [{lo}, {hi}) is empty or starts below 1")
     lim = isqrt(hi - 1)
@@ -110,138 +167,33 @@ def segment_radical_data(
             f"prime table limit {primes.limit} < isqrt(hi-1) = {lim}"
         )
     L = hi - lo
-    prod = np.ones(L, dtype=np.int64)
+    small, k = small_primes(primes, hi)
+    prod = tile_residues(_signed_wheel(k), lo, L)
+    for p in small[k:].tolist():
+        view = prod[(-lo) % p :: p]
+        np.multiply(view, -p, out=view)
+    negative = prod < 0 if want_parity else None
+    rad = np.abs(prod, out=prod)
     sqf = np.ones(L, dtype=bool)
-    counts = np.zeros(L, dtype=np.int8) if want_parity else None
-    for p in primes.primes:
-        p = int(p)
-        if p > lim:
-            break
-        o = (-lo) % p
-        prod[o::p] *= p
-        if counts is not None:
-            counts[o::p] += 1
+    # a square p^2 >= L has at most one multiple in the segment
+    few = int(np.searchsorted(small, isqrt(L - 1), side="right"))
+    for p in small[:few].tolist():
         pp = p * p
-        if pp < hi:
-            sqf[(-lo) % pp :: pp] = False
-    n = np.arange(lo, hi, dtype=np.int64)
-    cof = n // prod
-    parity = None
-    if want_parity:
-        parity = ((counts + (cof > 1)) & 1).astype(bool)
-    return SegmentData(lo=lo, hi=hi, squarefree=sqf, cofactor=cof, omega_parity=parity)
-
-
-@dataclass(frozen=True)
-class FactorRecord:
-    """Factorization record of a single integer from a FactorSegment."""
-
-    n: int
-    prime_factors: tuple[int, ...]
-    cofactor: int
-    squarefree: bool
-
-    def validate(self) -> None:
-        rad = 1
-        for p in self.prime_factors:
-            if self.n % p != 0:
-                raise InternalError(f"{p} recorded but does not divide {self.n}")
-            if self.cofactor % p == 0:
-                raise InternalError(f"cofactor {self.cofactor} shares factor {p}")
-            rad *= p
-        if self.cofactor > 1 and self.n % self.cofactor != 0:
-            raise InternalError(f"cofactor {self.cofactor} does not divide {self.n}")
-        if self.squarefree and rad * self.cofactor != self.n:
-            raise InternalError(
-                f"squarefree {self.n} != product of factors {rad} * {self.cofactor}"
-            )
-
-
-@dataclass
-class FactorSegment:
-    """Per-integer factorization data over [lo, hi).
-
-    Distinct prime factors <= sqrt(hi-1) are stored in CSR layout; the
-    cofactor is the residual after dividing out *all* powers of those
-    primes, hence always 1 or a single prime > sqrt(hi-1).
-    """
-
-    lo: int
-    hi: int
-    squarefree: np.ndarray
-    cofactor: np.ndarray
-    factor_indptr: np.ndarray
-    factor_values: np.ndarray
-
-    def factors_of(self, n: int) -> tuple[int, ...]:
-        i = self._index(n)
-        return tuple(
-            int(v) for v in self.factor_values[self.factor_indptr[i] : self.factor_indptr[i + 1]]
-        )
-
-    def record(self, n: int) -> FactorRecord:
-        i = self._index(n)
-        return FactorRecord(
-            n=n,
-            prime_factors=self.factors_of(n),
-            cofactor=int(self.cofactor[i]),
-            squarefree=bool(self.squarefree[i]),
-        )
-
-    def _index(self, n: int) -> int:
-        if not (self.lo <= n < self.hi):
-            raise ParameterError(f"{n} outside segment [{self.lo}, {self.hi})")
-        return n - self.lo
-
-
-def factor_segment(lo: int, hi: int, primes: PrimeTable) -> FactorSegment:
-    """Full factorization records for [lo, hi); cofactor is prime or 1."""
-    if not (1 <= lo < hi):
-        raise ParameterError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    lim = isqrt(hi - 1)
-    if primes.limit < lim:
-        raise ParameterError(
-            f"prime table limit {primes.limit} insufficient: need >= {lim}"
-        )
-    L = hi - lo
-    rem = np.arange(lo, hi, dtype=np.int64)
-    sqf = np.ones(L, dtype=bool)
-    hits: list[tuple[int, np.ndarray]] = []
-    for p in primes.primes:
-        p = int(p)
-        if p > lim:
-            break
-        o = (-lo) % p
-        idx = np.arange(o, L, p, dtype=np.int64)
-        if idx.size == 0:
-            continue
-        hits.append((p, idx))
-        sub = rem[idx]
-        sub //= p
-        again = sub % p == 0
-        if again.any():
-            sqf[idx[again]] = False
-            while again.any():
-                sub[again] //= p
-                again = sub % p == 0
-        rem[idx] = sub
-    counts = np.zeros(L, dtype=np.int32)
-    for _, idx in hits:
-        counts[idx] += 1
-    indptr = np.zeros(L + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    values = np.zeros(indptr[-1], dtype=np.int64)
-    cursor = indptr[:-1].copy()
-    for p, idx in hits:
-        values[cursor[idx]] = p
-        cursor[idx] += 1
-    return FactorSegment(
+        sqf[(-lo) % pp :: pp] = False
+    squares = small[few:] * small[few:]
+    first = (-lo) % squares
+    sqf[first[first < L]] = False
+    # a squarefree n with a big prime q > lim has radical part n / q below
+    # hi / (lim + 1) <= lim + 1, so past lim a comparison with lo suffices
+    has_big = rad < (lo if lo > lim else np.arange(lo, hi, dtype=np.int64))
+    big = np.flatnonzero(has_big & sqf)
+    return SegmentData(
         lo=lo,
         hi=hi,
         squarefree=sqf,
-        cofactor=rem,
-        factor_indptr=indptr,
-        factor_values=values,
+        big=big,
+        big_prime=(big + lo) // rad[big],
+        omega_parity=None if negative is None else negative ^ has_big,
     )
 
 
@@ -261,6 +213,8 @@ def mertens_trace(
     seg = segment_length_for(x)
     values = np.zeros((1, marks.size), dtype=np.int64)
     changes = np.zeros((1, marks.size), dtype=np.int64)
+    # |M(u)| <= u: int32 partial sums are exact below the ceiling
+    cum_dtype = np.int32 if x < INT32_CEILING else np.int64
     total = 0
     carry = 0
     acc = 0
@@ -268,10 +222,10 @@ def mertens_trace(
     while lo <= x:
         hi = min(lo + seg, x + 1)
         data = segment_radical_data(lo, hi, primes, want_parity=True)
-        mu = np.where(
-            data.squarefree, 1 - 2 * data.omega_parity.astype(np.int8), 0
-        ).astype(np.int8)
-        m = np.cumsum(mu, dtype=np.int64)
+        mu = data.omega_parity.view(np.int8) * np.int8(-2)
+        mu += 1
+        mu *= data.squarefree
+        m = np.cumsum(mu, dtype=cum_dtype)
         m += total
         carry, acc = count_to_marks(m, lo, marks, carry, acc, values[0], changes[0])
         total = int(m[-1])

@@ -47,14 +47,25 @@ _NP_27 = np.uint64(27)
 _NP_31 = np.uint64(31)
 
 
+_CHUNK = 1 << 14  # elements per chunk: its eight passes stay in cache
+
+
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer applied elementwise to a uint64 array."""
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> _NP_30
-    z *= _NP_M1
-    z ^= z >> _NP_27
-    z *= _NP_M2
-    z ^= z >> _NP_31
+    z = z.astype(np.uint64, order="C", copy=True)
+    flat = z.reshape(-1)
+    scratch = np.empty(min(_CHUNK, flat.size), dtype=np.uint64)
+    for start in range(0, flat.size, _CHUNK):
+        c = flat[start : start + _CHUNK]
+        t = scratch[: c.size]
+        np.right_shift(c, _NP_30, out=t)
+        c ^= t
+        c *= _NP_M1
+        np.right_shift(c, _NP_27, out=t)
+        c ^= t
+        c *= _NP_M2
+        np.right_shift(c, _NP_31, out=t)
+        c ^= t
     return z
 
 

@@ -1,0 +1,217 @@
+"""Scalar reference oracle for the sieve and the multiplicative signs.
+
+``factor_segment`` factors every integer of a segment by repeated
+division, independently of ``rmflab.sieve``'s radical sieve, and
+``f_value`` evaluates one sample of f at one integer from such a record
+through the scalar hash in ``rmflab.signs``.  The tests hold the package's
+vectorized paths against them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import isqrt
+
+import numpy as np
+
+from rmflab import signs
+from rmflab.errors import InternalError, ParameterError
+from rmflab.rmf import SignOracle
+from rmflab.sieve import PrimeTable
+
+
+@dataclass(frozen=True)
+class FactorRecord:
+    """Factorization record of a single integer from a FactorSegment."""
+
+    n: int
+    prime_factors: tuple[int, ...]
+    cofactor: int
+    squarefree: bool
+
+    def validate(self) -> None:
+        rad = 1
+        for p in self.prime_factors:
+            if self.n % p != 0:
+                raise InternalError(f"{p} recorded but does not divide {self.n}")
+            if self.cofactor % p == 0:
+                raise InternalError(f"cofactor {self.cofactor} shares factor {p}")
+            rad *= p
+        if self.cofactor > 1 and self.n % self.cofactor != 0:
+            raise InternalError(f"cofactor {self.cofactor} does not divide {self.n}")
+        if self.squarefree and rad * self.cofactor != self.n:
+            raise InternalError(
+                f"squarefree {self.n} != product of factors {rad} * {self.cofactor}"
+            )
+
+
+@dataclass
+class FactorSegment:
+    """Per-integer factorization data over [lo, hi).
+
+    Distinct prime factors <= sqrt(hi-1) are stored in CSR layout; the
+    cofactor is the residual after dividing out *all* powers of those
+    primes, hence always 1 or a single prime > sqrt(hi-1).
+    """
+
+    lo: int
+    hi: int
+    squarefree: np.ndarray
+    cofactor: np.ndarray
+    factor_indptr: np.ndarray
+    factor_values: np.ndarray
+
+    def factors_of(self, n: int) -> tuple[int, ...]:
+        i = self._index(n)
+        return tuple(
+            int(v) for v in self.factor_values[self.factor_indptr[i] : self.factor_indptr[i + 1]]
+        )
+
+    def record(self, n: int) -> FactorRecord:
+        i = self._index(n)
+        return FactorRecord(
+            n=n,
+            prime_factors=self.factors_of(n),
+            cofactor=int(self.cofactor[i]),
+            squarefree=bool(self.squarefree[i]),
+        )
+
+    def _index(self, n: int) -> int:
+        if not (self.lo <= n < self.hi):
+            raise ParameterError(f"{n} outside segment [{self.lo}, {self.hi})")
+        return n - self.lo
+
+
+def factor_segment(lo: int, hi: int, primes: PrimeTable) -> FactorSegment:
+    """Full factorization records for [lo, hi); cofactor is prime or 1."""
+    if not (1 <= lo < hi):
+        raise ParameterError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+    lim = isqrt(hi - 1)
+    if primes.limit < lim:
+        raise ParameterError(
+            f"prime table limit {primes.limit} insufficient: need >= {lim}"
+        )
+    L = hi - lo
+    rem = np.arange(lo, hi, dtype=np.int64)
+    sqf = np.ones(L, dtype=bool)
+    hits: list[tuple[int, np.ndarray]] = []
+    for p in primes.primes:
+        p = int(p)
+        if p > lim:
+            break
+        o = (-lo) % p
+        idx = np.arange(o, L, p, dtype=np.int64)
+        if idx.size == 0:
+            continue
+        hits.append((p, idx))
+        sub = rem[idx]
+        sub //= p
+        again = sub % p == 0
+        if again.any():
+            sqf[idx[again]] = False
+            while again.any():
+                sub[again] //= p
+                again = sub % p == 0
+        rem[idx] = sub
+    counts = np.zeros(L, dtype=np.int32)
+    for _, idx in hits:
+        counts[idx] += 1
+    indptr = np.zeros(L + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    values = np.zeros(indptr[-1], dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for p, idx in hits:
+        values[cursor[idx]] = p
+        cursor[idx] += 1
+    return FactorSegment(
+        lo=lo,
+        hi=hi,
+        squarefree=sqf,
+        cofactor=rem,
+        factor_indptr=indptr,
+        factor_values=values,
+    )
+
+
+def _debug_check_prime(p: int) -> None:
+    if p < 2:
+        raise ParameterError(f"{p} is not prime")
+    if p in (2, 3):
+        return
+    if p % 2 == 0:
+        raise ParameterError(f"{p} is not prime")
+    bound = min(isqrt(p), 1_000_000)  # cheap check only; skip for huge p
+    d = 3
+    while d <= bound:
+        if p % d == 0:
+            raise ParameterError(f"{p} is not prime")
+        d += 2
+
+
+def sign_of_prime(oracle: SignOracle, p: int) -> int:
+    """f(p) in {+1, -1}; pure in (master_seed, sample_index, p)."""
+    if __debug__:
+        _debug_check_prime(int(p))
+    if oracle.hook == "plus":
+        return 1
+    if oracle.hook == "minus":
+        return -1
+    block = oracle.sample_index >> 6
+    lane = oracle.sample_index & 63
+    key = signs.block_key(oracle.master_seed, block, signs.SALT_PRIME)
+    return signs.sign_bit_to_int(signs.sign_word(key, int(p)), lane)
+
+
+def f_value(oracle: SignOracle, record: FactorRecord) -> int:
+    """f(n) from a factorization record: 0 off squarefrees, else the product."""
+    record.validate()
+    if not record.squarefree:
+        return 0
+    out = 1
+    for p in record.prime_factors:
+        out *= sign_of_prime(oracle, p)
+    if record.cofactor > 1:
+        out *= sign_of_prime(oracle, record.cofactor)
+    return out
+
+
+WHEEL_PERIOD = 30030  # 2 * 3 * 5 * 7 * 11 * 13
+
+# Segments [lo, hi) at the edges of the sieve's wheel pre-sieve, by group:
+# every hi up to 170, where fewer than six wheel primes are <= isqrt(hi - 1);
+# lo at and next to multiples of the wheel period, with segments longer than
+# it; and one segment near 1e8, with squares both below and above its length.
+EDGE_SEGMENTS = {
+    "below_170": [(1, hi) for hi in range(2, 171)]
+    + [(lo, hi) for lo in (2, 7, 30, 97, 150) for hi in (lo + 1, lo + 13, 171)],
+    "wheel_period": [
+        (m * WHEEL_PERIOD + d, m * WHEEL_PERIOD + d + 40_000)
+        for m in (1, 2, 33)
+        for d in (-1, 0, 1)
+    ],
+    "near_1e8": [(10**8 - (1 << 16), 10**8 + 1)],
+}
+
+
+def radical_reference(lo: int, hi: int, primes: PrimeTable):
+    """(squarefree, big, big_prime, omega parity) of [lo, hi) from ``factor_segment``.
+
+    ``big`` indexes the squarefree n with a prime factor > isqrt(hi - 1) and
+    ``big_prime`` is that factor; the parity counts all distinct factors.
+    """
+    seg = factor_segment(lo, hi, primes)
+    has_big = seg.cofactor > 1
+    big = np.flatnonzero(seg.squarefree & has_big)
+    parity = ((np.diff(seg.factor_indptr) + has_big) & 1).astype(bool)
+    return seg.squarefree, big, seg.cofactor[big], parity
+
+
+def words_reference(lo: int, hi: int, primes: PrimeTable, key: int) -> np.ndarray:
+    """XOR of ``signs.sign_words_array`` over the distinct prime factors of each n."""
+    seg = factor_segment(lo, hi, primes)
+    rows = np.repeat(np.arange(hi - lo), np.diff(seg.factor_indptr))
+    words = np.zeros(hi - lo, dtype=np.uint64)
+    np.bitwise_xor.at(words, rows, signs.sign_words_array(key, seg.factor_values))
+    big = seg.cofactor > 1
+    words[big] ^= signs.sign_words_array(key, seg.cofactor[big])
+    return words

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from rmflab import sieve
 from rmflab.analysis import LambdaParams, lambda_asymptotic, lambda_exact
 from rmflab.cli import CSV_HEADER, run
 
@@ -107,6 +108,17 @@ class TestMertensCommand:
         monkeypatch.setenv("RMFLAB_BUDGET", "999")
         assert run(["mertens", "--x", "1000"]) == 3
         assert run(["mertens", "--x", "999"]) == 0
+
+    def test_memory_error_exits_3(self, monkeypatch, capsys):
+        # the prime table to isqrt(4e18) would need 2 GB; fail as numpy would
+        def out_of_memory(limit):
+            raise MemoryError(f"Unable to allocate {limit + 1} bytes for the prime sieve")
+
+        monkeypatch.setattr(sieve, "primes_up_to", out_of_memory)
+        assert run(["mertens", "--x", "4e18", "--budget", "1e19"]) == 3
+        err = capsys.readouterr().err
+        assert "rmflab: error: resource: out of memory:" in err
+        assert "Traceback" not in err
 
 
 class TestExport:

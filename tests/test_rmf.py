@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from rmflab import models
+from rmflab import models, signs
 from rmflab.errors import InternalError, ParameterError, ResourceError
 from rmflab.montecarlo import ExperimentPlan, _checkpoint_matrix, bootstrap_estimate
 from rmflab.models import ModelSpec, collect_walks
-from rmflab.rmf import (
-    RmfWordSource,
-    SignOracle,
+from rmflab.rmf import RmfWordSource, SignOracle, grid_positions, rmf_trace
+from rmflab.sieve import primes_up_to, squarefree_count
+
+from oracle import (
+    EDGE_SEGMENTS,
+    FactorRecord,
     f_value,
-    grid_positions,
-    rmf_trace,
+    factor_segment,
     sign_of_prime,
+    words_reference,
 )
-from rmflab.sieve import FactorRecord, factor_segment, primes_up_to, squarefree_count
 
 
 def brute_f(seed, idx, n):
@@ -89,6 +91,20 @@ class TestFValue:
         bad = FactorRecord(n=10, prime_factors=(3,), cofactor=1, squarefree=True)
         with pytest.raises(InternalError):
             f_value(SignOracle(1), bad)
+
+
+@pytest.mark.parametrize("group", sorted(EDGE_SEGMENTS))
+def test_block_words_match_oracle_on_squarefrees(group):
+    seed = 2024
+    source = RmfWordSource(master_seed=seed)
+    for lo, hi in EDGE_SEGMENTS[group]:
+        ctx = source.segment(source.begin(hi - 1), lo, hi)
+        primes = primes_up_to(max(2, math.isqrt(hi - 1)))
+        for block in (0, 3):
+            words, active = source.block_words(ctx, block)
+            key = signs.block_key(seed, block, signs.SALT_PRIME)
+            want = words_reference(lo, hi, primes, key)
+            assert np.array_equal(words[active], want[active]), (lo, hi, block)
 
 
 class TestTrace:

@@ -6,15 +6,15 @@ import sympy
 
 from rmflab.errors import ParameterError
 from rmflab.sieve import (
-    FactorSegment,
     PrimeTable,
-    factor_segment,
     mertens_trace,
     mobius_sieve,
     primes_up_to,
     segment_radical_data,
     squarefree_count,
 )
+
+from oracle import EDGE_SEGMENTS, factor_segment, radical_reference
 
 
 def brute_squarefree_count(x):
@@ -135,6 +135,22 @@ class TestSegmentRadicalData:
         for n in range(2, 500):
             want = all(e == 1 for e in sympy.factorint(n).values())
             assert bool(data.squarefree[n - 2]) == want
+
+
+@pytest.mark.parametrize("group", sorted(EDGE_SEGMENTS))
+def test_segment_radical_data_matches_oracle(group):
+    for lo, hi in EDGE_SEGMENTS[group]:
+        # a table reaching past isqrt(hi - 1): the sieve must ignore the excess
+        primes = primes_up_to(max(2, 2 * math.isqrt(hi - 1)))
+        sqf, big, big_prime, parity = radical_reference(lo, hi, primes)
+        data = segment_radical_data(lo, hi, primes, want_parity=True)
+        assert np.array_equal(data.squarefree, sqf), (lo, hi)
+        assert np.array_equal(data.big, big), (lo, hi)
+        assert np.array_equal(data.big_prime, big_prime), (lo, hi)
+        assert np.array_equal(data.omega_parity[sqf], parity[sqf]), (lo, hi)
+        plain = segment_radical_data(lo, hi, primes)
+        assert plain.omega_parity is None
+        assert np.array_equal(plain.big_prime, big_prime), (lo, hi)
 
 
 class TestMertens:

@@ -12,6 +12,19 @@ def test_mix64_scalar_matches_array(z):
     assert int(arr[0]) == signs.mix64(z)
 
 
+def test_mix64_array_across_chunks_and_layouts():
+    # long enough for several chunks and a ragged last one; the input is kept
+    z = np.random.default_rng(5).integers(0, 2**64, 3 * signs._CHUNK + 5, dtype=np.uint64)
+    before = z.copy()
+    out = signs.mix64_array(z)
+    assert np.array_equal(z, before)
+    assert out.tolist() == [signs.mix64(int(v)) for v in z]
+    grid = np.asfortranarray(z[:600].reshape(20, 30))
+    assert np.array_equal(signs.mix64_array(grid), out[:600].reshape(20, 30))
+    assert np.array_equal(signs.mix64_array(z[::7]), out[::7])
+    assert signs.mix64_array(z[:0]).size == 0
+
+
 @given(st.integers(0, 2**64 - 1), st.integers(2, 2**40))
 def test_sign_word_scalar_matches_array(key, value):
     word = signs.sign_word(key, value)
