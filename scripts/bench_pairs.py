@@ -3,8 +3,9 @@
 
 Runs ``perfbench/run.py --trace 0`` from a parent checkout and a changed
 checkout, one run of each per pair, the parent first in even pairs and
-the change first in odd ones, and writes a ``BENCH_<n>.json`` report:
-for every workload and end-to-end metric of ``BENCHMARK.json``, both
+the change first in odd ones, for ten pairs per workload and each run as
+long as ``run_seconds`` of ``BENCHMARK.json``.  It writes a
+``BENCH_<n>.json`` report: for every workload and end-to-end metric, both
 sides' runs with their median and quartiles, the change/parent ratio of
 the medians, the pairs the change won, the relative worsening and whether
 it stays within the metric's bound.  ``--claim`` adds a verdict on one
@@ -13,11 +14,10 @@ claimed gain.  The benchmark itself is not modified.
 Usage:
 
     python scripts/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --out BENCH_7.json [--pairs 10] [--seconds 20] \\
-        [--workloads trace,signprob,comparison] [--claim trace:wall_s:0.15]
+        --out BENCH_7.json [--claim trace:wall_s:0.15]
 
 A claim ``WORKLOAD:METRIC:GAIN`` is met when the change wins at least 9
-pairs in 10, its median is better than the parent's by more than the
+of the 10 pairs, its median is better than the parent's by more than the
 parent's interquartile range, and by at least the fraction GAIN.
 """
 
@@ -31,6 +31,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
 
 def run_once(checkout: Path, workload: str, seconds: float) -> dict:
     """One ``perfbench/run.py`` run; returns its result object."""
@@ -95,33 +96,29 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
     ap.add_argument("--change", type=Path, required=True, help="changed checkout")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--workloads", default="", help="comma list; default: all in BENCHMARK.json")
     ap.add_argument("--claim", default="", help="WORKLOAD:METRIC:GAIN")
     ap.add_argument("--description", default="", help="prepended to the generated description")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
+    seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        names = args.workloads.split(",")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report_workloads = {}
     for workload in names:
         values = {side: {m["name"]: [] for m in metrics} for side in sides}
         correct = True
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(sides[side], workload, args.seconds)
+                result = run_once(sides[side], workload, seconds)
                 correct &= bool(result["correct"]) and result["failed"] == 0
                 for m in metrics:
                     values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
             wall = [values[s]["wall_s"][-1] for s in sides]
-            print(f"{workload} pair {k + 1}/{args.pairs}: wall_s parent {wall[0]:.3f} "
+            print(f"{workload} pair {k + 1}/{PAIRS}: wall_s parent {wall[0]:.3f} "
                   f"change {wall[1]:.3f}", file=sys.stderr)
         report_workloads[workload] = {
             "all_correct": correct,
@@ -135,8 +132,8 @@ def main(argv=None) -> int:
         }
 
     description = (
-        f"perfbench/run.py --seconds {args.seconds:g} --trace 0 at the default seed, "
-        f"{args.pairs} alternating pairs per workload (parent first in even pairs), "
+        f"perfbench/run.py --seconds {seconds:g} --trace 0 at the default seed, "
+        f"{PAIRS} alternating pairs per workload (parent first in even pairs), "
         f"Python {platform.python_version()} on {platform.system()}. Each run's value is "
         "the run's own median over its passes. wins = pairs where the change is better; "
         "ratio = change median / parent median."

@@ -18,14 +18,7 @@ import numpy as np
 from . import signs
 from .engine import PartialSumTrace, run_walks
 from .errors import ParameterError
-from .sieve import (
-    PrimeTable,
-    primes_up_to,
-    segment_radical_data,
-    small_primes,
-    tile_residues,
-    wheel_pattern,
-)
+from .sieve import PrimeTable, primes_up_to, segment_radical_data
 
 HOOKS = ("hash", "plus", "minus")
 _ALL_ONES = (1 << 64) - 1
@@ -72,15 +65,10 @@ class RmfWordSource:
     def segment(self, state, lo: int, hi: int):
         primes: PrimeTable = state["primes"]
         data = segment_radical_data(lo, hi, primes, want_parity=self.hook != "hash")
-        ctx = {"lo": lo, "hi": hi, "sqf": data.squarefree}
+        ctx = {"data": data}
         if self.hook != "hash":
-            ctx["parity"] = data.omega_parity
             return ctx
-        small, k = small_primes(primes, hi)
-        ctx["k"] = k
-        ctx["pm"] = state["pm"][: small.size]
-        ctx["strided"] = list(zip(((-lo) % small[k:]).tolist(), small[k:].tolist()))
-        ctx["big"] = data.big
+        ctx["pm"] = state["pm"][: data.wheel + len(data.strided)]
         ctx["mc"] = signs.mix64_array(
             data.big_prime.astype(np.uint64) * np.uint64(signs.GOLDEN)
         )
@@ -88,23 +76,20 @@ class RmfWordSource:
 
     def block_words(self, ctx, block: int):
         """Sign-parity words of one block, exact on every squarefree index."""
-        L = ctx["hi"] - ctx["lo"]
-        sqf = ctx["sqf"]
+        data = ctx["data"]
+        sqf = data.squarefree
         if self.hook == "plus":
-            return np.zeros(L, dtype=np.uint64), sqf
+            return np.zeros(sqf.size, dtype=np.uint64), sqf
         if self.hook == "minus":
-            words = np.where(ctx["parity"], np.uint64(_ALL_ONES), np.uint64(0))
+            words = np.where(data.omega_parity, np.uint64(_ALL_ONES), np.uint64(0))
             return words, sqf
         key = np.uint64(signs.block_key(self.master_seed, block, signs.SALT_PRIME))
-        k = ctx["k"]
         hsmall = signs.mix64_array(ctx["pm"] ^ key)
-        pattern = wheel_pattern(k, hsmall, np.bitwise_xor, 0, np.uint64)
-        words = tile_residues(pattern, ctx["lo"], L)
-        for (o, p), h in zip(ctx["strided"], hsmall[k:]):
+        words = data.wheel_fold(hsmall, np.bitwise_xor, 0, np.uint64)
+        for (o, p), h in zip(data.strided, hsmall[data.wheel :]):
             view = words[o::p]
             np.bitwise_xor(view, h, out=view)
-        big = ctx["big"]
-        words[big] ^= signs.mix64_array(ctx["mc"] ^ key)
+        words[data.big] ^= signs.mix64_array(ctx["mc"] ^ key)
         return words, sqf
 
     def weights(self, ctx):

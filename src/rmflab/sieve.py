@@ -92,7 +92,7 @@ def squarefree_count(x: int) -> int:
 WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def wheel_pattern(k: int, values, ufunc: np.ufunc, identity, dtype) -> np.ndarray:
+def _wheel_pattern(k: int, values, ufunc: np.ufunc, identity, dtype) -> np.ndarray:
     """One period of a fold over the first ``k`` wheel primes.
 
     Entry r (0 <= r < 2*3*...*p_k) is ``ufunc`` folded, starting from
@@ -106,21 +106,15 @@ def wheel_pattern(k: int, values, ufunc: np.ufunc, identity, dtype) -> np.ndarra
     return out
 
 
-def tile_residues(pattern: np.ndarray, lo: int, length: int) -> np.ndarray:
+def _tile(pattern: np.ndarray, lo: int, length: int) -> np.ndarray:
     """A fresh array holding ``pattern[(lo + i) % pattern.size]`` for i < length."""
     return np.resize(np.roll(pattern, -(lo % pattern.size)), length)
-
-
-def small_primes(primes: PrimeTable, hi: int) -> tuple[np.ndarray, int]:
-    """The primes p <= isqrt(hi-1) of the table, and k: how many are wheel primes."""
-    small = primes.primes[: np.searchsorted(primes.primes, isqrt(hi - 1), side="right")]
-    return small, min(small.size, len(WHEEL_PRIMES))
 
 
 @functools.cache
 def _signed_wheel(k: int) -> np.ndarray:
     """Product of -p over the first k wheel primes p dividing r, for each residue r."""
-    out = wheel_pattern(k, [-p for p in WHEEL_PRIMES], np.multiply, 1, np.int64)
+    out = _wheel_pattern(k, [-p for p in WHEEL_PRIMES], np.multiply, 1, np.int64)
     out.flags.writeable = False
     return out
 
@@ -135,6 +129,11 @@ class SegmentData:
     ``big_prime`` that factor.  ``omega_parity`` (filled on request) is the
     parity of the number of distinct prime factors; it is only meaningful
     on squarefree entries, which is all the multiplicative walks consume.
+
+    The small primes split in two.  The first ``wheel`` of them are wheel
+    primes (2..13), folded in from a tiled per-residue pattern (see
+    :meth:`wheel_fold`); each later one is listed in ``strided`` as
+    (index of its first multiple, p) and takes one strided pass.
     """
 
     lo: int
@@ -142,7 +141,15 @@ class SegmentData:
     squarefree: np.ndarray
     big: np.ndarray
     big_prime: np.ndarray
+    wheel: int
+    strided: list[tuple[int, int]]
     omega_parity: np.ndarray | None = None
+
+    def wheel_fold(self, values, ufunc: np.ufunc, identity, dtype) -> np.ndarray:
+        """Entry i folds ``ufunc`` from ``identity`` over ``values[j]`` for
+        each of the first ``wheel`` wheel primes (the j-th) dividing lo + i."""
+        pattern = _wheel_pattern(self.wheel, values, ufunc, identity, dtype)
+        return _tile(pattern, self.lo, self.hi - self.lo)
 
 
 def segment_radical_data(
@@ -167,10 +174,12 @@ def segment_radical_data(
             f"prime table limit {primes.limit} < isqrt(hi-1) = {lim}"
         )
     L = hi - lo
-    small, k = small_primes(primes, hi)
-    prod = tile_residues(_signed_wheel(k), lo, L)
-    for p in small[k:].tolist():
-        view = prod[(-lo) % p :: p]
+    small = primes.primes[: np.searchsorted(primes.primes, lim, side="right")]
+    k = min(small.size, len(WHEEL_PRIMES))
+    strided = list(zip(((-lo) % small[k:]).tolist(), small[k:].tolist()))
+    prod = _tile(_signed_wheel(k), lo, L)
+    for o, p in strided:
+        view = prod[o::p]
         np.multiply(view, -p, out=view)
     negative = prod < 0 if want_parity else None
     rad = np.abs(prod, out=prod)
@@ -193,6 +202,8 @@ def segment_radical_data(
         squarefree=sqf,
         big=big,
         big_prime=(big + lo) // rad[big],
+        wheel=k,
+        strided=strided,
         omega_parity=None if negative is None else negative ^ has_big,
     )
 
