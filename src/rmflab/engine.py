@@ -172,6 +172,7 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     lo = 1
     while lo <= x_end:
         hi = min(lo + seg_len, x_end + 1)
+        ctx = None  # free the last segment's context before building the next
         ctx = source.segment(state, lo, hi)
         w = source.weights(ctx)
         row = 0
