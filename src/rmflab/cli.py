@@ -5,9 +5,11 @@ avg-v, mertens, models, selftest.  Every experiment writes flat result
 records (CSV or JSON lines) plus a run manifest sufficient to reproduce
 each number bit-exactly.
 
-Config precedence is flags > config file > defaults.  The config file is
-flat ``key = value`` text; keys are the long option names of the chosen
-subcommand (dashes or underscores).  Unknown keys are rejected.
+Config precedence is flags > config file > defaults: the config file's
+values become the subcommand's defaults and the command line is parsed
+again.  The file is flat ``key = value`` text; keys are the long option
+names of the chosen subcommand (dashes or underscores).  Unknown keys are
+rejected.  The manifest records the command and its resolved options.
 
 Exit codes: 0 success, 2 parameter error, 3 resource error.  Errors print
 to stderr as ``rmflab: error: <kind>: <message>``.
@@ -16,6 +18,7 @@ to stderr as ``rmflab: error: <kind>: <message>``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -38,12 +41,10 @@ from .montecarlo import (
     RunManifest,
     correlation_table,
     estimate_event_probs,
-    estimate_expected_V,
-    estimate_moment,
     estimate_sign_change_prob,
     expected_v_table,
     moment_table,
-    plan_as_dict,
+    regime_flags,
     resolve_budget,
     x_ell_grid,
 )
@@ -157,27 +158,25 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _apply_config(args: argparse.Namespace, actions: dict[str, argparse.Action]):
-    """Fill unset options from the config file, typed as their flags are."""
-    if not getattr(args, "config", None):
-        return
-    cfg = load_config(args.config)
+def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values ``sub``'s defaults, typed as their flags are."""
+    cfg = load_config(path)
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
     unknown = set(cfg) - set(actions)
     if unknown:
         raise ParameterError(
             f"unknown config keys: {sorted(unknown)}; valid: {sorted(actions)}"
         )
+    values = {}
     for key, raw in cfg.items():
-        if getattr(args, key, None) is not None:
-            continue
         action = actions[key]
         try:
-            value = action.type(raw) if action.type else raw
+            values[key] = action.type(raw) if action.type else raw
         except ValueError as exc:
             raise ParameterError(f"config key {key}: bad value {raw!r}") from exc
-        if action.choices is not None and value not in action.choices:
+        if action.choices is not None and values[key] not in action.choices:
             raise ParameterError(f"config key {key}: {raw!r} is not one of {list(action.choices)}")
-        setattr(args, key, value)
+    sub.set_defaults(**values)
 
 
 def _check_finite(args: argparse.Namespace) -> None:
@@ -186,42 +185,32 @@ def _check_finite(args: argparse.Namespace) -> None:
             raise ParameterError(f"{key} must be finite, got {value}")
 
 
-_COMMON_DEFAULTS = {
-    "samples": 1000,
-    "workers": 1,
-    "format": "csv",
-    "n_boot": 1000,
-    "epsilon": 0.1,
-    "delta": 0.1,
-    "model": "rmf",
-}
-
-
 def _common(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, default=None, help="master seed (all randomness flows from it)")
-    sub.add_argument("--samples", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None, help="sample-level parallelism; output independent of it")
+    sub.add_argument("--samples", type=int, default=1000)
+    sub.add_argument("--workers", type=int, default=1, help="sample-level parallelism; output independent of it")
     sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--format", choices=("csv", "jsonl"), default=None)
+    sub.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     sub.add_argument("--config", default=None, help="flat key=value config file")
     sub.add_argument("--budget", type=float, default=None, help="step budget override (also env RMFLAB_BUDGET)")
-    sub.add_argument("--n-boot", dest="n_boot", type=int, default=None)
+    sub.add_argument("--n-boot", dest="n_boot", type=int, default=1000)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     p = argparse.ArgumentParser(prog="rmflab", description=__doc__)
     p.add_argument("--version", action="version", version=f"rmflab {__version__}")
     sp = p.add_subparsers(dest="command", required=True)
 
     s = sp.add_parser("simulate", help="one sample path of a model walk")
-    s.add_argument("--model", choices=KINDS, default=None)
+    s.add_argument("--model", choices=KINDS, default="rmf")
     s.add_argument("--x", type=float, required=True)
     s.add_argument("--checkpoints", type=str, default="")
     s.add_argument("--sample-index", type=int, default=0)
     _common(s)
 
     s = sp.add_parser("moments", help="E|M(x)|^q over x- and q-grids")
-    s.add_argument("--model", choices=KINDS, default=None)
+    s.add_argument("--model", choices=KINDS, default="rmf")
     s.add_argument("--x", type=str, required=True, help="comma list of x values")
     s.add_argument("--q", type=str, default="1,2", help="comma list of q values")
     _common(s)
@@ -240,21 +229,24 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=int, default=None, help="single partner index")
     s.add_argument("--max-m", dest="max_m", type=int, default=None, help="all pairs n<=a<b<=max-m, from one walk")
     _common(s)
+    s.set_defaults(model="rmf")  # no --model: these walks are always rmf
 
     s = sp.add_parser("events", help="probabilities of the forcing events A, B")
     s.add_argument("--x", type=float, required=True)
     s.add_argument("--N", type=int, required=True)
-    s.add_argument("--epsilon", type=float, default=None)
-    s.add_argument("--delta", type=float, default=None)
+    s.add_argument("--epsilon", type=float, default=0.1)
+    s.add_argument("--delta", type=float, default=0.1)
     _common(s)
+    s.set_defaults(model="rmf")
 
     s = sp.add_parser("signprob", help="P(sign change in (x, e^N x])")
     s.add_argument("--x", type=str, required=True, help="comma list of x values")
     s.add_argument("--N", type=int, required=True)
     _common(s)
+    s.set_defaults(model="rmf")
 
     s = sp.add_parser("avg-v", help="averaged sign-change counts E V(x)")
-    s.add_argument("--model", choices=KINDS, default=None)
+    s.add_argument("--model", choices=KINDS, default="rmf")
     s.add_argument("--x", type=str, default=None, help="explicit comma list of x values")
     s.add_argument("--grid-eps", dest="grid_eps", type=float, default=None, help="use the x_ell grid with this epsilon")
     s.add_argument("--ell-max", dest="ell_max", type=int, default=20)
@@ -271,54 +263,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("selftest", help="run the full acceptance suite")
     _common(s)
-    return p
-
-
-def _resolve(args, key):
-    v = getattr(args, key, None)
-    return _COMMON_DEFAULTS.get(key) if v is None else v
+    return p, sp.choices
 
 
 def _plan(args) -> ExperimentPlan:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = secrets.randbits(48)
-        print(f"rmflab: note: no --seed given; drew {seed} from system entropy", file=sys.stderr)
-        args.seed = seed
-    budget = getattr(args, "budget", None)
-    model = ModelSpec(_resolve(args, "model") or "rmf")
+    if args.seed is None:
+        args.seed = secrets.randbits(48)
+        print(f"rmflab: note: no --seed given; drew {args.seed} from system entropy", file=sys.stderr)
     return ExperimentPlan(
-        master_seed=seed,
-        samples=_resolve(args, "samples"),
-        model=model,
-        N=int(getattr(args, "N", 0) or 8),
-        epsilon=_resolve(args, "epsilon"),
-        delta=_resolve(args, "delta"),
-        workers=_resolve(args, "workers"),
-        budget=None if budget is None else int(budget),
-        n_boot=_resolve(args, "n_boot"),
+        master_seed=args.seed,
+        samples=args.samples,
+        model=ModelSpec(args.model),
+        workers=args.workers,
+        budget=args.budget,
+        n_boot=args.n_boot,
     )
 
 
-def _emit(args, records: list[dict], plan: ExperimentPlan | None, t0: float) -> None:
-    out = getattr(args, "out", None)
+def _emit(args, records: list[dict], t0: float) -> None:
     for r in records:
         cells = [f"{k}={_fmt(r.get(k))}" for k in RECORD_FIELDS if r.get(k) not in (None, "")]
         print("  ".join(cells))
-    if not out:
+    if not args.out:
         return
-    manifest_path = out + ".manifest.json"
+    options = dict(vars(args))
     manifest = RunManifest(
-        plan=plan_as_dict(plan) if plan else {"seed": getattr(args, "seed", None)},
+        command=options.pop("command"),
+        options=options,
         code_version=__version__,
         wall_time_s=time.time() - t0,
         experiment_seeds={r["experiment"]: r.get("seed") for r in records},
     )
-    fmt = _resolve(args, "format")
-    export(records, fmt, out, manifest_ref=os.path.basename(manifest_path))
+    manifest_path = args.out + ".manifest.json"
+    export(records, args.format, args.out, manifest_ref=os.path.basename(manifest_path))
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.as_dict(), fh, indent=2, sort_keys=True)
-    print(f"rmflab: wrote {out} and {manifest_path}", file=sys.stderr)
+        json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
+    print(f"rmflab: wrote {args.out} and {manifest_path}", file=sys.stderr)
 
 
 def cmd_simulate(args) -> int:
@@ -340,7 +320,7 @@ def cmd_simulate(args) -> int:
     ]
     for c, v in zip(trace.checkpoint_requests, trace.checkpoint_values):
         recs.append(record("simulate-checkpoint", k, x=c, point=float(v), n_samples=1, seed=plan.master_seed))
-    _emit(args, recs, plan, t0)
+    _emit(args, recs, t0)
     return 0
 
 
@@ -355,7 +335,7 @@ def cmd_moments(args) -> int:
         for x in xs
         for q in qs
     ]
-    _emit(args, recs, plan, t0)
+    _emit(args, recs, t0)
     return 0
 
 
@@ -375,7 +355,7 @@ def cmd_lambda(args) -> int:
             print(f"q={q}: exact={exact:.6g} asymptotic={asym:.6g} ratio={exact / asym:.6g}")
         else:
             print(f"q={q}: exact={exact:.6g} (asymptotic needs q <= 1.9)")
-    _emit(args, recs, None, t0)
+    _emit(args, recs, t0)
     return 0
 
 
@@ -395,7 +375,7 @@ def cmd_correlations(args) -> int:
         exact = exact_correlation(args.x, n, m)
         recs.append(record(f"correlation[{n},{m}]", plan.model.kind, x=args.x, N=m, est=est))
         recs.append(record(f"correlation-exact[{n},{m}]", "exact", x=args.x, N=m, point=exact))
-    _emit(args, recs, plan, t0)
+    _emit(args, recs, t0)
     return 0
 
 
@@ -403,7 +383,7 @@ def cmd_events(args) -> int:
     t0 = time.time()
     plan = _plan(args)
     res = estimate_event_probs(plan, args.x, args.N, args.epsilon, args.delta)
-    flags = plan.regime_flags(args.x, args.N)
+    flags = regime_flags(args.x, args.N)
     recs = [
         record("event-A", plan.model.kind, x=args.x, N=args.N, est=res.p_a, flags=flags),
         record("event-B", plan.model.kind, x=args.x, N=args.N, est=res.p_b, flags=flags),
@@ -416,7 +396,7 @@ def cmd_events(args) -> int:
     else:
         print("conditional sign-change frequency undefined (no A&B samples or N=1)")
     print(f"lambda1={res.lambda1:.6g} forcing geometry holds: {res.threshold_ok}")
-    _emit(args, recs, plan, t0)
+    _emit(args, recs, t0)
     return 0
 
 
@@ -425,12 +405,12 @@ def cmd_signprob(args) -> int:
     plan = _plan(args)
     recs = []
     for x in _parse_floats(args.x):
-        flags = plan.regime_flags(x, args.N)
+        flags = regime_flags(x, args.N)
         if not flags.n_small or not flags.loglog_ok:
             print(f"rmflab: warning: x={x} N={args.N} outside hypothesis regime {flags}", file=sys.stderr)
         est = estimate_sign_change_prob(plan, x, args.N)
         recs.append(record("signprob", plan.model.kind, x=x, N=args.N, est=est, flags=flags))
-    _emit(args, recs, plan, t0)
+    _emit(args, recs, t0)
     return 0
 
 
@@ -451,19 +431,18 @@ def cmd_avg_v(args) -> int:
         raise ParameterError("x grid is empty after filtering")
     table = expected_v_table(plan, xs)
     recs = [record("avg-v", plan.model.kind, x=x, est=table[x]) for x in xs]
-    _emit(args, recs, plan, t0)
+    _emit(args, recs, t0)
     return 0
 
 
 def cmd_mertens(args) -> int:
     t0 = time.time()
-    budget = getattr(args, "budget", None)
-    trace = mertens_trace(int(args.x), budget=resolve_budget(None if budget is None else int(budget)))
+    trace = mertens_trace(int(args.x), budget=resolve_budget(args.budget))
     recs = [
         record("mertens-changes", "mertens", x=trace.x_end, point=float(trace.sign_change_count), n_samples=1),
         record("mertens-final", "mertens", x=trace.x_end, point=float(trace.final_value), n_samples=1),
     ]
-    _emit(args, recs, None, t0)
+    _emit(args, recs, t0)
     return 0
 
 
@@ -488,10 +467,10 @@ def cmd_models(args) -> int:
 def cmd_selftest(args) -> int:
     from .acceptance import run_all
 
-    if getattr(args, "seed", None) is None:
+    if args.seed is None:
         raise ParameterError("selftest requires an explicit --seed")
     t0 = time.time()
-    results = run_all(seed=int(args.seed), workers=_resolve(args, "workers"))
+    results = run_all(seed=int(args.seed), workers=args.workers)
     recs = []
     failed = 0
     for res in results:
@@ -502,7 +481,7 @@ def cmd_selftest(args) -> int:
             record(f"selftest-{res.number}", "acceptance", point=float(res.passed),
                    n_samples=None, seed=int(args.seed))
         )
-    _emit(args, recs, None, t0)
+    _emit(args, recs, t0)
     print(f"selftest: {len(results) - failed}/{len(results)} criteria passed")
     return 1 if failed else 0
 
@@ -522,15 +501,12 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
-    actions = {
-        a.dest: a
-        for a in parser._subparsers._group_actions[0].choices[args.command]._actions
-        if a.dest != "help"
-    }
     try:
-        _apply_config(args, actions)
+        if args.config:
+            _apply_config(subparsers[args.command], args.config)
+            args = parser.parse_args(argv)
         _check_finite(args)
         return _HANDLERS[args.command](args)
     except ParameterError as exc:

@@ -1,5 +1,10 @@
 """Experiment engine: deterministic sampling plans, estimators, bootstrap CIs.
 
+An :class:`ExperimentPlan` holds only what every walk and bootstrap of an
+experiment shares: master seed, sample count, model, workers, step budget
+and bootstrap resamples.  The values one estimate asks about (x, q, N,
+epsilon, delta) are arguments of the estimator.
+
 Every estimator follows the same discipline:
 
 * it walks every sample once, through the one helper ``_walk`` (a call of
@@ -14,7 +19,11 @@ Every estimator follows the same discipline:
 
 The step-budget guardrail refuses experiments whose largest trace times
 sample count exceeds the budget (default 1e9 steps, overridable per plan
-or via the RMFLAB_BUDGET environment variable).
+or via the RMFLAB_BUDGET environment variable).  A budget below 1 is a
+parameter error.
+
+:class:`RunManifest` is what the CLI writes next to its records: the
+command, its resolved options, the code version and the seeds used.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,16 +45,19 @@ from .rmf import grid_positions
 REGIME_EPSILON = 1.0 / 2000.0  # fixed small epsilon for the loglog regime proxy
 
 
-def resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("RMFLAB_BUDGET")
-    if env:
+def resolve_budget(budget: float | None) -> int:
+    """The step budget: ``budget`` if given, else RMFLAB_BUDGET, else the default."""
+    if budget is None:
+        env = os.environ.get("RMFLAB_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
         try:
-            return int(float(env))
+            budget = int(float(env))
         except (ValueError, OverflowError) as exc:
             raise ParameterError(f"RMFLAB_BUDGET must be a finite number, got {env!r}") from exc
-    return DEFAULT_BUDGET
+    if budget < 1:
+        raise ParameterError(f"step budget must be >= 1, got {budget}")
+    return int(budget)
 
 
 @dataclass(frozen=True)
@@ -55,43 +67,33 @@ class RegimeFlags:
     n_small: bool  # N = o(log x) proxy: N <= log(x)/10
     loglog_ok: bool  # loglog x << N^{2-eps} proxy: loglog x <= N^{2-eps}
 
-    def as_dict(self) -> dict:
-        return {"regime_n_small": self.n_small, "regime_loglog_ok": self.loglog_ok}
+
+def regime_flags(x: float, N: int) -> RegimeFlags:
+    log_x = math.log(x) if x > 1 else 0.0  # x <= 1 is outside the asymptotics
+    n_small = N <= log_x / 10.0
+    loglog_ok = log_x <= 1 or math.log(log_x) <= N ** (2.0 - REGIME_EPSILON)
+    return RegimeFlags(n_small=bool(n_small), loglog_ok=bool(loglog_ok))
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Reproducible description of one experiment family."""
+    """What every walk and bootstrap of one experiment shares.
+
+    Per-call values (x, q, N, epsilon, delta) are estimator arguments.
+    """
 
     master_seed: int
     samples: int
     model: ModelSpec = field(default_factory=lambda: ModelSpec("rmf"))
-    x_grid: tuple[float, ...] = ()
-    N: int = 8
-    epsilon: float = 0.1
-    delta: float = 0.1
-    q_list: tuple[float, ...] = (1.0, 2.0)
     workers: int = 1
-    budget: int | None = None
+    budget: float | None = None
     n_boot: int = 1000
 
     def __post_init__(self):
         if self.samples < 1:
             raise ParameterError("samples must be >= 1")
-        if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
-            raise ParameterError("x_grid must be strictly ascending")
         if isinstance(self.model, str):
             object.__setattr__(self, "model", ModelSpec(self.model))
-
-    def regime_flags(self, x: float, N: int | None = None) -> RegimeFlags:
-        N = self.N if N is None else N
-        log_x = math.log(x) if x > 1 else 0.0  # x <= 1 is outside the asymptotics
-        n_small = N <= log_x / 10.0
-        loglog_ok = log_x <= 1 or math.log(log_x) <= N ** (2.0 - REGIME_EPSILON)
-        return RegimeFlags(n_small=bool(n_small), loglog_ok=bool(loglog_ok))
-
-    def with_(self, **kw) -> "ExperimentPlan":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -181,13 +183,10 @@ def _walk(
 
 
 def moment_table(
-    plan: ExperimentPlan,
-    x_list: Sequence[float] | None = None,
-    q_list: Sequence[float] | None = None,
+    plan: ExperimentPlan, x_list: Sequence[float], q_list: Sequence[float]
 ) -> dict[tuple[float, float], EstimateWithCI]:
     """E|M(x)|^q for every (x, q) pair, sharing one trace per sample."""
-    xs = tuple(x_list) if x_list is not None else plan.x_grid
-    qs = tuple(q_list) if q_list is not None else plan.q_list
+    xs, qs = tuple(x_list), tuple(q_list)
     if not xs or not qs:
         raise ParameterError("moment_table needs nonempty x and q lists")
     positions = [int(math.floor(x)) for x in xs]
@@ -213,10 +212,10 @@ def estimate_moment(plan: ExperimentPlan, x: float, q: float) -> EstimateWithCI:
 
 
 def expected_v_table(
-    plan: ExperimentPlan, x_list: Sequence[float] | None = None
+    plan: ExperimentPlan, x_list: Sequence[float]
 ) -> dict[float, EstimateWithCI]:
     """E V(x) on a grid of x, one census trace per sample."""
-    xs = tuple(x_list) if x_list is not None else plan.x_grid
+    xs = tuple(x_list)
     if not xs:
         raise ParameterError("expected_v_table needs a nonempty x grid")
     positions = [int(math.floor(x)) for x in xs]
@@ -279,18 +278,14 @@ class EventProbEstimates:
 
 
 def estimate_event_probs(
-    plan: ExperimentPlan,
-    x: float,
-    N: int,
-    epsilon: float | None = None,
-    delta: float | None = None,
+    plan: ExperimentPlan, x: float, N: int, epsilon: float = 0.1, delta: float = 0.1
 ) -> EventProbEstimates:
-    eps = plan.epsilon if epsilon is None else epsilon
-    dlt = plan.delta if delta is None else delta
-    check_event_params(eps, dlt)
+    check_event_params(epsilon, delta)
     lam1 = lambda_exact(LambdaParams(N=N, q=1.0, x=x))
-    a, b, mixed, threshold_ok = forcing_events(_checkpoint_matrix(plan, x, N), lam1, eps, dlt)
-    base = f"events|model={plan.model.kind}|x={x!r}|N={N}|eps={eps!r}|delta={dlt!r}"
+    a, b, mixed, threshold_ok = forcing_events(
+        _checkpoint_matrix(plan, x, N), lam1, epsilon, delta
+    )
+    base = f"events|model={plan.model.kind}|x={x!r}|N={N}|eps={epsilon!r}|delta={delta!r}"
     p_a = bootstrap_estimate(
         a.astype(np.float64), plan.master_seed, base + "|A", plan.n_boot
     )
@@ -362,33 +357,9 @@ def estimate_correlation(
 class RunManifest:
     """Everything needed to reproduce a run's numbers bit-exactly."""
 
-    plan: dict
+    command: str
+    options: dict
     code_version: str
     wall_time_s: float
     experiment_seeds: dict
     zero_policy: str = "zero-skip"
-
-    def as_dict(self) -> dict:
-        return {
-            "plan": self.plan,
-            "code_version": self.code_version,
-            "wall_time_s": self.wall_time_s,
-            "experiment_seeds": self.experiment_seeds,
-            "zero_policy": self.zero_policy,
-        }
-
-
-def plan_as_dict(plan: ExperimentPlan) -> dict:
-    return {
-        "master_seed": plan.master_seed,
-        "samples": plan.samples,
-        "model": plan.model.kind,
-        "x_grid": list(plan.x_grid),
-        "N": plan.N,
-        "epsilon": plan.epsilon,
-        "delta": plan.delta,
-        "q_list": list(plan.q_list),
-        "workers": plan.workers,
-        "budget": plan.budget,
-        "n_boot": plan.n_boot,
-    }

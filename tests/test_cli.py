@@ -51,19 +51,21 @@ class TestExitCodes:
             ["signprob", "--x", "100", "--N", "800"],
             ["correlations", "--x", "1e3", "--n", "1", "--max-m", "1"],
             ["correlations", "--x", "1e3", "--n", "4", "--max-m", "3"],
+            ["signprob", "--x", "100", "--N", "2", "--budget", "-1"],
         ],
         ids=["signprob-x-nan", "signprob-x-inf", "signprob-N-0", "mertens-x-nan", "lambda-x-overflow",
              "signprob-x-past-int64", "signprob-n-boot-0", "events-N-0", "signprob-N-overflow",
-             "correlations-max-m-equals-n", "correlations-max-m-below-n"],
+             "correlations-max-m-equals-n", "correlations-max-m-below-n", "signprob-budget-negative"],
     )
     def test_bad_number_exits_2(self, argv, capsys):
         assert run(argv + ["--seed", "1", "--samples", "4"]) == 2
         assert "rmflab: error: parameter:" in capsys.readouterr().err
 
     def test_bad_budget_environment_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("RMFLAB_BUDGET", "abc")
-        assert run(["signprob", "--x", "100", "--N", "2", "--seed", "1", "--samples", "4"]) == 2
-        assert "rmflab: error: parameter:" in capsys.readouterr().err
+        for env in ("abc", "0"):
+            monkeypatch.setenv("RMFLAB_BUDGET", env)
+            assert run(["signprob", "--x", "100", "--N", "2", "--seed", "1", "--samples", "4"]) == 2
+            assert "rmflab: error: parameter:" in capsys.readouterr().err
 
     def test_signprob_at_x_one_runs(self, capsys):
         # the regime flags need log log x, which x = 1 does not have
@@ -152,7 +154,7 @@ class TestExport:
         rows = [json.loads(line) for line in open(out)]
         assert rows[0]["manifest"] == "r.jsonl.manifest.json"
         manifest = json.load(open(str(out) + ".manifest.json"))
-        assert manifest["plan"]["master_seed"] == 3
+        assert manifest["options"]["seed"] == 3
         assert manifest["zero_policy"] == "zero-skip"
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -179,7 +181,40 @@ class TestConfigFile:
                     "--samples", "25", "--out", str(out2)]) == 0
         assert read_csv(out2)[0]["n_samples"] == "25"
 
-    @pytest.mark.parametrize("line", ["samples = abc", "budget = nan", "model = nosuch"])
+    @pytest.mark.parametrize(
+        "line, argv, experiments",
+        [
+            ("q = 3", ["moments", "--x", "100"], [("moment", "3")]),
+            ("ell_max = 3", ["avg-v", "--grid-eps", "0.01"], [("avg-v", ""), ("avg-v", "")]),
+            ("checkpoints = 10", ["simulate", "--x", "100"],
+             [("simulate-final", ""), ("simulate-changes", ""), ("simulate-checkpoint", "")]),
+        ],
+        ids=["moments-q", "avg-v-ell-max", "simulate-checkpoints"],
+    )
+    def test_config_sets_options_with_defaults(self, tmp_path, line, argv, experiments):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o.csv"
+        assert run(argv + ["--seed", "1", "--samples", "10", "--config", str(cfg),
+                           "--out", str(out)]) == 0
+        assert [(r["experiment"], r["q"]) for r in read_csv(out)] == experiments
+
+    def test_manifest_records_resolved_options(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = 30\n")
+        out = tmp_path / "m.csv"
+        assert run(["moments", "--x", "100,1000", "--q", "2", "--seed", "1",
+                    "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.load(open(str(out) + ".manifest.json"))
+        assert manifest["command"] == "moments"
+        options = manifest["options"]
+        assert (options["x"], options["q"], options["samples"]) == ("100,1000", "2", 30)
+        out = tmp_path / "l.csv"
+        assert run(["lambda", "--N", "5", "--x", "100", "--q", "1.5", "--out", str(out)]) == 0
+        options = json.load(open(str(out) + ".manifest.json"))["options"]
+        assert (options["N"], options["x"], options["q"]) == (5, 100.0, "1.5")
+
+    @pytest.mark.parametrize("line", ["samples = abc", "budget = nan", "model = nosuch", "budget = -1"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
