@@ -5,9 +5,10 @@ full gate in order and never raises (an exception inside a criterion is a
 failure with the message as detail).  Both ``pytest tests/test_acceptance.py``
 and ``rmflab selftest`` run these same functions.
 
-Sampling criteria run at an explicit seed (default ACCEPTANCE_SEED); the
-heavy experiments pass their exact step requirement as the budget, since
-several criteria deliberately exceed the default 1e9-step guardrail.
+Sampling criteria run at an explicit seed (the test suite uses
+ACCEPTANCE_SEED); the heavy experiments pass their exact step requirement
+as the budget, since several criteria deliberately exceed the default
+1e9-step guardrail.
 """
 
 from __future__ import annotations
@@ -425,15 +426,5 @@ CRITERIA = [
 ]
 
 
-def run_all(
-    seed: int | None = None,
-    workers: int = 1,
-    numbers: list[int] | None = None,
-) -> list[CriterionResult]:
-    seed = pinned.ACCEPTANCE_SEED if seed is None else seed
-    results = []
-    for number, name, fn in CRITERIA:
-        if numbers and number not in numbers:
-            continue
-        results.append(_wrap(number, name, fn, seed, workers))
-    return results
+def run_all(seed: int, workers: int) -> list[CriterionResult]:
+    return [_wrap(number, name, fn, seed, workers) for number, name, fn in CRITERIA]

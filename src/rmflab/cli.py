@@ -5,11 +5,13 @@ avg-v, mertens, models, selftest.  Every experiment writes flat result
 records (CSV or JSON lines) plus a run manifest sufficient to reproduce
 each number bit-exactly.
 
-Config precedence is flags > config file > defaults: the config file's
-values become the subcommand's defaults and the command line is parsed
-again.  The file is flat ``key = value`` text; keys are the long option
-names of the chosen subcommand (dashes or underscores).  Unknown keys are
-rejected.  The manifest records the command and its resolved options.
+Each subcommand takes only the options its handler reads.  Config
+precedence is flags > config file > defaults: the config file's values
+become the subcommand's defaults before the command line is parsed, so the
+file can also supply options the subcommand requires.  The file is flat
+``key = value`` text; keys are the long option names of the chosen
+subcommand (dashes or underscores).  Unknown keys are rejected.  The
+manifest records the command and its resolved options.
 
 Exit codes: 0 success, 2 parameter error, 3 resource error.  Errors print
 to stderr as ``rmflab: error: <kind>: <message>``.
@@ -158,10 +160,21 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
-    """Make the config file's values ``sub``'s defaults, typed as their flags are."""
-    cfg = load_config(path)
+def _apply_config(sub: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Make the values of the ``--config`` file in ``argv`` ``sub``'s defaults.
+
+    The file is found by option name alone, before the one parse of
+    ``argv``; its values are typed and checked as their flags are, and an
+    option the file supplies is no longer required on the command line.
+    """
     actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    names = argparse.ArgumentParser(prog=sub.prog, add_help=False)
+    for action in actions.values():
+        names.add_argument(*action.option_strings, dest=action.dest)
+    path = getattr(names.parse_known_args(argv)[0], "config", None)
+    if not path:
+        return
+    cfg = load_config(path)
     unknown = set(cfg) - set(actions)
     if unknown:
         raise ParameterError(
@@ -177,6 +190,8 @@ def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
         if action.choices is not None and values[key] not in action.choices:
             raise ParameterError(f"config key {key}: {raw!r} is not one of {list(action.choices)}")
     sub.set_defaults(**values)
+    for key in values:
+        actions[key].required = False
 
 
 def _check_finite(args: argparse.Namespace) -> None:
@@ -185,15 +200,23 @@ def _check_finite(args: argparse.Namespace) -> None:
             raise ParameterError(f"{key} must be finite, got {value}")
 
 
-def _common(sub: argparse.ArgumentParser):
-    sub.add_argument("--seed", type=int, default=None, help="master seed (all randomness flows from it)")
-    sub.add_argument("--samples", type=int, default=1000)
-    sub.add_argument("--workers", type=int, default=1, help="sample-level parallelism; output independent of it")
-    sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sub.add_argument("--config", default=None, help="flat key=value config file")
-    sub.add_argument("--budget", type=float, default=None, help="step budget override (also env RMFLAB_BUDGET)")
-    sub.add_argument("--n-boot", dest="n_boot", type=int, default=1000)
+_OPTIONS = {
+    "seed": dict(type=int, default=None, help="master seed (all randomness flows from it)"),
+    "samples": dict(type=int, default=1000),
+    "workers": dict(type=int, default=1, help="sample-level parallelism; output independent of it"),
+    "n-boot": dict(dest="n_boot", type=int, default=1000),
+    "budget": dict(type=float, default=None, help="step budget override (also env RMFLAB_BUDGET)"),
+    "out": dict(default=None, help="output file path"),
+    "format": dict(choices=("csv", "jsonl"), default="csv"),
+    "config": dict(default=None, help="flat key=value config file"),
+}
+SAMPLING = ("seed", "samples", "workers", "n-boot", "budget")
+OUTPUT = ("out", "format", "config")
+
+
+def _options(sub: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        sub.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -207,13 +230,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--x", type=float, required=True)
     s.add_argument("--checkpoints", type=str, default="")
     s.add_argument("--sample-index", type=int, default=0)
-    _common(s)
+    _options(s, "seed", "budget", *OUTPUT)
 
     s = sp.add_parser("moments", help="E|M(x)|^q over x- and q-grids")
     s.add_argument("--model", choices=KINDS, default="rmf")
     s.add_argument("--x", type=str, required=True, help="comma list of x values")
     s.add_argument("--q", type=str, default="1,2", help="comma list of q values")
-    _common(s)
+    _options(s, *SAMPLING, *OUTPUT)
 
     s = sp.add_parser("lambda", help="grid sum: exact vs asymptotic")
     s.add_argument("--N", type=int, required=True)
@@ -221,14 +244,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--log-x", dest="log_x", type=float, default=None)
     s.add_argument("--loglog-x", dest="loglog_x", type=float, default=None)
     s.add_argument("--q", type=str, default="1")
-    _common(s)
+    _options(s, *OUTPUT)
 
     s = sp.add_parser("correlations", help="empirical vs exact checkpoint correlations")
     s.add_argument("--x", type=float, required=True)
     s.add_argument("--n", type=int, default=1)
     s.add_argument("--m", type=int, default=None, help="single partner index")
     s.add_argument("--max-m", dest="max_m", type=int, default=None, help="all pairs n<=a<b<=max-m, from one walk")
-    _common(s)
+    _options(s, *SAMPLING, *OUTPUT)
     s.set_defaults(model="rmf")  # no --model: these walks are always rmf
 
     s = sp.add_parser("events", help="probabilities of the forcing events A, B")
@@ -236,13 +259,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--N", type=int, required=True)
     s.add_argument("--epsilon", type=float, default=0.1)
     s.add_argument("--delta", type=float, default=0.1)
-    _common(s)
+    _options(s, *SAMPLING, *OUTPUT)
     s.set_defaults(model="rmf")
 
     s = sp.add_parser("signprob", help="P(sign change in (x, e^N x])")
     s.add_argument("--x", type=str, required=True, help="comma list of x values")
     s.add_argument("--N", type=int, required=True)
-    _common(s)
+    _options(s, *SAMPLING, *OUTPUT)
     s.set_defaults(model="rmf")
 
     s = sp.add_parser("avg-v", help="averaged sign-change counts E V(x)")
@@ -252,26 +275,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--ell-max", dest="ell_max", type=int, default=20)
     s.add_argument("--xmin", type=float, default=None)
     s.add_argument("--xmax", type=float, default=None)
-    _common(s)
+    _options(s, *SAMPLING, *OUTPUT)
 
     s = sp.add_parser("mertens", help="deterministic Mertens sign-change census")
     s.add_argument("--x", type=float, required=True)
-    _common(s)
+    _options(s, "budget", *OUTPUT)
 
-    s = sp.add_parser("models", help="list model kinds and their declarations")
-    _common(s)
+    sp.add_parser("models", help="list model kinds and their declarations")
 
     s = sp.add_parser("selftest", help="run the full acceptance suite")
-    _common(s)
+    _options(s, "seed", "workers", *OUTPUT)
     return p, sp.choices
 
 
-def _plan(args) -> ExperimentPlan:
+def _seed(args) -> int:
+    """``args.seed``, drawn from system entropy (and noted on stderr) if not given."""
     if args.seed is None:
         args.seed = secrets.randbits(48)
         print(f"rmflab: note: no --seed given; drew {args.seed} from system entropy", file=sys.stderr)
+    return args.seed
+
+
+def _plan(args) -> ExperimentPlan:
     return ExperimentPlan(
-        master_seed=args.seed,
+        master_seed=_seed(args),
         samples=args.samples,
         model=ModelSpec(args.model),
         workers=args.workers,
@@ -303,23 +330,23 @@ def _emit(args, records: list[dict], t0: float) -> None:
 
 def cmd_simulate(args) -> int:
     t0 = time.time()
-    plan = _plan(args)
+    seed = _seed(args)
     checkpoints = _parse_ints(args.checkpoints) if args.checkpoints else []
     trace = sample_path(
-        plan.model,
+        ModelSpec(args.model),
         int(args.x),
-        plan.master_seed,
+        seed,
         sample_index=args.sample_index,
         checkpoints=checkpoints,
-        budget=resolve_budget(plan.budget),
+        budget=resolve_budget(args.budget),
     )
-    k = plan.model.kind
+    k = args.model
     recs = [
-        record("simulate-final", k, x=trace.x_end, point=float(trace.final_value), n_samples=1, seed=plan.master_seed),
-        record("simulate-changes", k, x=trace.x_end, point=float(trace.sign_change_count), n_samples=1, seed=plan.master_seed),
+        record("simulate-final", k, x=trace.x_end, point=float(trace.final_value), n_samples=1, seed=seed),
+        record("simulate-changes", k, x=trace.x_end, point=float(trace.sign_change_count), n_samples=1, seed=seed),
     ]
     for c, v in zip(trace.checkpoint_requests, trace.checkpoint_values):
-        recs.append(record("simulate-checkpoint", k, x=c, point=float(v), n_samples=1, seed=plan.master_seed))
+        recs.append(record("simulate-checkpoint", k, x=c, point=float(v), n_samples=1, seed=seed))
     _emit(args, recs, t0)
     return 0
 
@@ -502,11 +529,11 @@ _HANDLERS = {
 
 def run(argv: list[str]) -> int:
     parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            _apply_config(subparsers[args.command], args.config)
-            args = parser.parse_args(argv)
+        at = next((i for i, a in enumerate(argv) if a in subparsers), None)
+        if at is not None:
+            _apply_config(subparsers[argv[at]], argv[at + 1 :])
+        args = parser.parse_args(argv)
         _check_finite(args)
         return _HANDLERS[args.command](args)
     except ParameterError as exc:

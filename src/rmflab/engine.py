@@ -50,10 +50,9 @@ class PartialSumTrace:
     sign_change_count: int
     checkpoint_requests: tuple[int, ...]
     checkpoint_values: tuple
-    model_tag: str
 
     @classmethod
-    def of_walk(cls, res: WalkResult, checkpoints: Sequence[int], tag: str) -> PartialSumTrace:
+    def of_walk(cls, res: WalkResult, checkpoints: Sequence[int]) -> PartialSumTrace:
         """The first sample's trace from a census walk whose last mark is x_end."""
         cast = int if res.values.dtype.kind == "i" else float
         row = res.values[0]
@@ -63,7 +62,6 @@ class PartialSumTrace:
             sign_change_count=int(res.changes[0, -1]),
             checkpoint_requests=tuple(checkpoints),
             checkpoint_values=tuple(cast(row[j]) for j in res.columns(checkpoints)),
-            model_tag=tag,
         )
 
 
@@ -71,16 +69,15 @@ class PartialSumTrace:
 class WalkResult:
     """Per-sample walk values and cumulative sign-change counts at marks.
 
-    ``values[i, j]`` is M(marks[j]) for sample ``sample_indices[i]``;
-    ``changes[i, j]`` (census runs only) counts sign changes completing in
-    [1, marks[j]], so windows difference exactly: V(a,b] = V(b) - V(a).
+    ``values[i, j]`` is M(marks[j]) for the i-th smallest requested sample
+    index; ``changes[i, j]`` (census runs only) counts sign changes
+    completing in [1, marks[j]], so windows difference exactly:
+    V(a,b] = V(b) - V(a).
     """
 
-    sample_indices: np.ndarray
     marks: np.ndarray
     values: np.ndarray
     changes: np.ndarray | None
-    tag: str
 
     def columns(self, positions: Sequence[int]) -> np.ndarray:
         """The column of each position in ``marks``; every position must be a mark."""
@@ -233,10 +230,13 @@ def run_walks(
     census: bool = True,
     workers: int = 1,
     budget: int | None = None,
-    segment_len: int | None = None,
     first_change: bool = False,
 ) -> WalkResult:
     """Walk all requested samples to ``x_end``, reporting at ``marks``.
+
+    Segments are ``segment_length_for(x_end)`` integers long, fixed in this
+    process before any worker starts; ``workers`` splits the 64-sample
+    blocks between processes.  Neither changes the output.
 
     ``first_change=True`` (census runs only) is for callers that only ask
     whether a sign change follows ``marks[0]``: each lane is walked in
@@ -251,7 +251,7 @@ def run_walks(
     if first_change and not census:
         raise ParameterError("first_change needs a census run")
     x_end, marks_arr, samples = walk_inputs(x_end, marks, sample_indices, budget)
-    seg_len = segment_len or segment_length_for(x_end)
+    seg_len = segment_length_for(x_end)
 
     blocks = group_blocks(samples)
     workers = max(1, int(workers))
@@ -278,10 +278,4 @@ def run_walks(
         values[rows] = v
         if census:
             changes[rows] = ch
-    return WalkResult(
-        sample_indices=samples,
-        marks=marks_arr,
-        values=values,
-        changes=changes,
-        tag=source.tag,
-    )
+    return WalkResult(marks_arr, values, changes)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -123,19 +122,15 @@ def mian_chowla(k: int) -> SidonSet:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A walk model plus its parameters.
+    """A walk model kind plus its parameters.
 
-    ``martingale_lo``/``martingale_hi`` are the amplitude bounds A <= B.
-    ``sidon_u`` pins the sidon phase U (test hook).  ``psi_override``
-    replaces the declared norm-deficit function (test hook for the
-    stability checker).
+    ``martingale_lo``/``martingale_hi`` are the amplitude bounds A <= B of
+    the bounded martingale; the other kinds take no parameter.
     """
 
     kind: str
     martingale_lo: float = 0.5
     martingale_hi: float = 1.0
-    sidon_u: float | None = None
-    psi_override: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -169,8 +164,6 @@ def psi_predictor(model: ModelSpec, x: float) -> float:
     """Declared norm-deficit psi(x) (continuous, non-decreasing, >= 1)."""
     if x < 1:
         raise ParameterError(f"psi is declared on x >= 1, got {x}")
-    if model.psi_override is not None:
-        return float(model.psi_override(x))
     if model.kind in ("iid_rademacher", "sidon_cosine", "bounded_martingale"):
         return 1.0
     if model.kind == "rmf":
@@ -186,20 +179,13 @@ def psi_predictor(model: ModelSpec, x: float) -> float:
 class PsiStabilityReport:
     """Outcome of the slow-variation check on a doubling grid of x."""
 
-    kind: str
-    x: float
-    N: int
-    grid: tuple[float, ...]
-    deviations: tuple[float, ...]  # max_n |psi(e^n x)/psi(x) - 1| * log(x)/n
-    max_deviation: float
+    max_deviation: float  # max over the grid and n of |psi(e^n x)/psi(x) - 1| * log(x)/n
     non_decreasing: bool
     passed: bool
 
 
-def psi_stability_check(
-    model: ModelSpec, x: float, N: int, doublings: int = 6
-) -> PsiStabilityReport:
-    """Check psi(e^n x) = psi(x)(1 + O(n/log x)) with constant 10.
+def psi_stability_check(model: ModelSpec, x: float, N: int) -> PsiStabilityReport:
+    """Check psi(e^n x) = psi(x)(1 + O(n/log x)) with constant 10 at x, 2x, ..., 32x.
 
     Requires the N = o(log x) regime, enforced as N <= log(x)/10.
     """
@@ -209,32 +195,19 @@ def psi_stability_check(
         raise ParameterError(
             f"regime violation: need N <= log(x)/10 = {math.log(x) / 10.0:.3f}"
         )
-    grid = tuple(x * 2.0**j for j in range(doublings))
-    deviations = []
+    max_dev = 0.0
     seen: list[tuple[float, float]] = []
-    for xj in grid:
+    for xj in (x * 2.0**j for j in range(6)):
         base = psi_predictor(model, xj)
         seen.append((xj, base))
-        worst = 0.0
         for n in range(1, N + 1):
             xn = math.exp(n) * xj
             val = psi_predictor(model, xn)
             seen.append((xn, val))
-            worst = max(worst, abs(val / base - 1.0) * math.log(xj) / n)
-        deviations.append(worst)
+            max_dev = max(max_dev, abs(val / base - 1.0) * math.log(xj) / n)
     seen.sort()
     non_dec = all(b[1] >= a[1] - 1e-12 for a, b in zip(seen, seen[1:]))
-    max_dev = max(deviations)
-    return PsiStabilityReport(
-        kind=model.kind,
-        x=float(x),
-        N=int(N),
-        grid=grid,
-        deviations=tuple(deviations),
-        max_deviation=max_dev,
-        non_decreasing=non_dec,
-        passed=bool(non_dec and max_dev <= 10.0),
-    )
+    return PsiStabilityReport(max_dev, non_dec, bool(non_dec and max_dev <= 10.0))
 
 
 @dataclass(frozen=True)
@@ -242,8 +215,6 @@ class IidWordSource:
     """Engine source for the iid +-1 walk (index-keyed sign family)."""
 
     master_seed: int
-    salt: int = signs.SALT_INDEX
-    tag: str = "iid_rademacher"
 
     def is_float_walk(self) -> bool:
         return False
@@ -256,7 +227,7 @@ class IidWordSource:
         return {"lo": lo, "hi": hi, "mn": signs.mix64_array(n * np.uint64(signs.GOLDEN))}
 
     def block_words(self, ctx, block: int):
-        key = signs.block_key(self.master_seed, block, self.salt)
+        key = signs.block_key(self.master_seed, block, signs.SALT_INDEX)
         return signs.mix64_array(ctx["mn"] ^ np.uint64(key)), None
 
     def weights(self, ctx):
@@ -266,8 +237,6 @@ class IidWordSource:
 @dataclass(frozen=True)
 class HarmonicWordSource(IidWordSource):
     """iid signs damped by 1/sqrt(n)."""
-
-    tag: str = "harmonic_rademacher"
 
     def is_float_walk(self) -> bool:
         return True
@@ -281,14 +250,11 @@ class HarmonicWordSource(IidWordSource):
         return ctx["w"]
 
 
-def _sidon_phase(model: ModelSpec, master_seed: int, sample_index: int) -> float:
-    if model.sidon_u is not None:
-        return float(model.sidon_u)
+def _sidon_phase(master_seed: int, sample_index: int) -> float:
     return 2.0 * math.pi * signs.uniform01(master_seed, sample_index, SALT_SIDON)
 
 
 def _collect_sidon(
-    model: ModelSpec,
     x_end: int,
     marks: np.ndarray,
     samples: np.ndarray,
@@ -298,9 +264,7 @@ def _collect_sidon(
     terms = np.asarray(mian_chowla(x_end).elements, dtype=np.float64)
     values = np.zeros((samples.size, marks.size))
     changes = np.zeros((samples.size, marks.size), dtype=np.int64) if census else None
-    phases = np.array(
-        [_sidon_phase(model, master_seed, int(s)) for s in samples]
-    )
+    phases = np.array([_sidon_phase(master_seed, int(s)) for s in samples])
     # rows per chunk: keeps the three chunk-sized float temporaries near 16 MB
     chunk = max(1, int(2e6) // x_end)
     root2 = math.sqrt(2.0)
@@ -396,10 +360,11 @@ def collect_walks(
 ) -> WalkResult:
     """Uniform multi-sample collection across all model kinds.
 
-    ``workers`` and ``first_change`` apply only to the engine-backed models
-    (rmf, iid, harmonic): ``first_change`` stops each lane at its first sign
-    change after ``marks[0]``, as in :func:`run_walks`.  The Sidon and
-    martingale walks run in this process and walk every lane to ``x_end``.
+    The rmf, iid and harmonic walks go through :func:`run_walks`, which
+    splits sample blocks over ``workers`` processes; ``first_change`` stops
+    each of their lanes at its first sign change after ``marks[0]``.  The
+    Sidon and martingale walks ignore both: they run in this process and
+    walk every lane to ``x_end``.
     """
     source = engine_source_for(model, master_seed)
     if source is not None:
@@ -419,20 +384,12 @@ def collect_walks(
             raise ParameterError(
                 f"sidon walk limited to {MIAN_CHOWLA_MAX} terms, got x={x_end}"
             )
-        values, changes = _collect_sidon(
-            model, x_end, marks_arr, samples, master_seed, census
-        )
+        values, changes = _collect_sidon(x_end, marks_arr, samples, master_seed, census)
     else:
         values, changes = _collect_martingale(
             model, x_end, marks_arr, samples, master_seed, census
         )
-    return WalkResult(
-        sample_indices=samples,
-        marks=marks_arr,
-        values=values,
-        changes=changes,
-        tag=model.kind,
-    )
+    return WalkResult(marks_arr, values, changes)
 
 
 def sample_path(
@@ -449,4 +406,4 @@ def sample_path(
     res = collect_walks(
         model, x, [*reqs, int(x)], [sample_index], master_seed, census=True, budget=budget
     )
-    return PartialSumTrace.of_walk(res, reqs, model.kind)
+    return PartialSumTrace.of_walk(res, reqs)

@@ -92,8 +92,6 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.samples < 1:
             raise ParameterError("samples must be >= 1")
-        if isinstance(self.model, str):
-            object.__setattr__(self, "model", ModelSpec(self.model))
 
 
 @dataclass(frozen=True)
@@ -272,7 +270,6 @@ class EventProbEstimates:
     p_a: EstimateWithCI
     p_b: EstimateWithCI
     p_change_given_ab: EstimateWithCI | None
-    n_ab: int
     lambda1: float
     threshold_ok: bool
 
@@ -293,9 +290,8 @@ def estimate_event_probs(
         b.astype(np.float64), plan.master_seed, base + "|B", plan.n_boot
     )
     ab = a & b
-    n_ab = int(ab.sum())
     cond = None
-    if N > 1 and n_ab > 0:
+    if N > 1 and ab.any():
         cond = bootstrap_estimate(
             mixed[ab].astype(np.float64), plan.master_seed, base + "|cond", plan.n_boot
         )
@@ -303,7 +299,6 @@ def estimate_event_probs(
         p_a=p_a,
         p_b=p_b,
         p_change_given_ab=cond,
-        n_ab=n_ab,
         lambda1=lam1,
         threshold_ok=threshold_ok,
     )

@@ -50,7 +50,6 @@ class RmfWordSource:
 
     master_seed: int
     hook: str = "hash"
-    tag: str = "rmf"
 
     def is_float_walk(self) -> bool:
         return False
@@ -116,8 +115,7 @@ def rmf_trace(
         workers=workers,
         budget=budget,
     )
-    tag = f"rmf:{oracle.hook}" if oracle.hook != "hash" else "rmf"
-    return PartialSumTrace.of_walk(res, reqs, tag)
+    return PartialSumTrace.of_walk(res, reqs)
 
 
 def grid_positions(x: float, N: int) -> list[int]:

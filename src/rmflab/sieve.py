@@ -241,5 +241,5 @@ def mertens_trace(
         carry, acc = count_to_marks(m, lo, marks, carry, acc, values[0], changes[0])
         total = int(m[-1])
         lo = hi
-    res = WalkResult(np.zeros(1, dtype=np.int64), marks, values, changes, "mertens")
-    return PartialSumTrace.of_walk(res, reqs, "mertens")
+    res = WalkResult(marks, values, changes)
+    return PartialSumTrace.of_walk(res, reqs)

@@ -58,7 +58,9 @@ class TestExitCodes:
              "correlations-max-m-equals-n", "correlations-max-m-below-n", "signprob-budget-negative"],
     )
     def test_bad_number_exits_2(self, argv, capsys):
-        assert run(argv + ["--seed", "1", "--samples", "4"]) == 2
+        if argv[0] not in ("mertens", "lambda"):  # the two without sampling options
+            argv = argv + ["--seed", "1", "--samples", "4"]
+        assert run(argv) == 2
         assert "rmflab: error: parameter:" in capsys.readouterr().err
 
     def test_bad_budget_environment_exits_2(self, monkeypatch, capsys):
@@ -184,8 +186,9 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "line, argv, experiments",
         [
-            ("q = 3", ["moments", "--x", "100"], [("moment", "3")]),
-            ("ell_max = 3", ["avg-v", "--grid-eps", "0.01"], [("avg-v", ""), ("avg-v", "")]),
+            ("q = 3", ["moments", "--x", "100", "--samples", "10"], [("moment", "3")]),
+            ("ell_max = 3", ["avg-v", "--grid-eps", "0.01", "--samples", "10"],
+             [("avg-v", ""), ("avg-v", "")]),
             ("checkpoints = 10", ["simulate", "--x", "100"],
              [("simulate-final", ""), ("simulate-changes", ""), ("simulate-checkpoint", "")]),
         ],
@@ -195,8 +198,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "o.csv"
-        assert run(argv + ["--seed", "1", "--samples", "10", "--config", str(cfg),
-                           "--out", str(out)]) == 0
+        assert run(argv + ["--seed", "1", "--config", str(cfg), "--out", str(out)]) == 0
         assert [(r["experiment"], r["q"]) for r in read_csv(out)] == experiments
 
     def test_manifest_records_resolved_options(self, tmp_path):
@@ -213,12 +215,29 @@ class TestConfigFile:
         assert run(["lambda", "--N", "5", "--x", "100", "--q", "1.5", "--out", str(out)]) == 0
         options = json.load(open(str(out) + ".manifest.json"))["options"]
         assert (options["N"], options["x"], options["q"]) == (5, 100.0, "1.5")
+        # the manifest holds exactly the options the subcommand takes
+        assert set(options) == {"N", "x", "log_x", "loglog_x", "q", "out", "format", "config"}
+        out = tmp_path / "mertens.csv"
+        assert run(["mertens", "--x", "100", "--out", str(out)]) == 0
+        options = json.load(open(str(out) + ".manifest.json"))["options"]
+        assert set(options) == {"x", "budget", "out", "format", "config"}
+
+    def test_config_supplies_required_options(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x = 100\nsamples = 10\nseed = 1\n")
+        out = tmp_path / "o.csv"
+        assert run(["moments", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [r["x"] for r in read_csv(out)] == ["100", "100"]
+        cfg.write_text("samples = 10\nseed = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["moments", "--config", str(cfg)])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("line", ["samples = abc", "budget = nan", "model = nosuch", "budget = -1"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
-        assert run(["simulate", "--x", "100", "--seed", "1", "--config", str(cfg)]) == 2
+        assert run(["moments", "--x", "100", "--seed", "1", "--config", str(cfg)]) == 2
         assert "rmflab: error: parameter:" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -226,6 +245,25 @@ class TestConfigFile:
         cfg.write_text("no_such_key = 5\n")
         assert run(["moments", "--x", "100", "--q", "2", "--seed", "1",
                     "--config", str(cfg)]) == 2
+
+
+class TestSubcommandOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["models", "--samples", "1"],
+            ["lambda", "--N", "5", "--x", "100", "--seed", "1"],
+            ["mertens", "--x", "100", "--workers", "2"],
+            ["simulate", "--x", "100", "--seed", "1", "--n-boot", "5"],
+            ["selftest", "--budget", "1"],
+        ],
+        ids=["models-samples", "lambda-seed", "mertens-workers", "simulate-n-boot", "selftest-budget"],
+    )
+    def test_option_the_subcommand_does_not_use_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestExportErrors:

@@ -57,10 +57,12 @@ def test_worker_count_invariance():
     assert np.array_equal(a.changes, b.changes)
 
 
-def test_segment_length_invariance():
+def test_segment_length_invariance(monkeypatch):
     src = RmfWordSource(master_seed=11)
-    a = run_walks(src, 4000, [1, 1234, 4000], range(5), segment_len=4001)
-    b = run_walks(src, 4000, [1, 1234, 4000], range(5), segment_len=777)
+    monkeypatch.setattr(engine, "MIN_SEGMENT", 4001)
+    a = run_walks(src, 4000, [1, 1234, 4000], range(5))
+    monkeypatch.setattr(engine, "MIN_SEGMENT", 777)
+    b = run_walks(src, 4000, [1, 1234, 4000], range(5))
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.changes, b.changes)
 
@@ -84,12 +86,12 @@ def test_sample_subsets_see_identical_streams():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_first_change_keeps_window_indicators(workers):
+def test_first_change_keeps_window_indicators(monkeypatch, workers):
+    monkeypatch.setattr(engine, "MIN_SEGMENT", 500)
     src = RmfWordSource(master_seed=29)
     marks = [300, 700, 1500, 4000, 9000]
-    full = run_walks(src, 9000, marks, range(140), segment_len=500)
-    fast = run_walks(src, 9000, marks, range(140), segment_len=500, workers=workers,
-                     first_change=True)
+    full = run_walks(src, 9000, marks, range(140))
+    fast = run_walks(src, 9000, marks, range(140), workers=workers, first_change=True)
     assert np.array_equal(fast.changes[:, 0], full.changes[:, 0])
     assert np.array_equal(fast.values[:, 0], full.values[:, 0])
     for j in range(1, len(marks)):
@@ -119,12 +121,13 @@ def dense_rmf_walk():
 def test_first_change_output_independent_of_segments_and_workers(monkeypatch, piece):
     monkeypatch.setattr(engine, "PIECE", piece)
     src = RmfWordSource(master_seed=29)
-    runs = [
-        run_walks(src, 3000, FIRST_CHANGE_MARKS, range(140), segment_len=seg,
-                  workers=workers, first_change=True)
-        for seg in (500, 777, 9000)
-        for workers in (1, 2)
-    ]
+    runs = []
+    for seg in (500, 777, 9000):
+        # the segment length is fixed in this process, so workers see it too
+        monkeypatch.setattr(engine, "MIN_SEGMENT", seg)
+        for workers in (1, 2):
+            runs.append(run_walks(src, 3000, FIRST_CHANGE_MARKS, range(140),
+                                  workers=workers, first_change=True))
     for res in runs[1:]:
         assert np.array_equal(res.values, runs[0].values)
         assert np.array_equal(res.changes, runs[0].changes)
@@ -135,13 +138,13 @@ def test_first_change_output_independent_of_segments_and_workers(monkeypatch, pi
 def test_stopped_lane_reports_walk_at_its_first_change(monkeypatch, piece, on_change,
                                                        dense_rmf_walk):
     monkeypatch.setattr(engine, "PIECE", piece)
+    monkeypatch.setattr(engine, "MIN_SEGMENT", 777)
     marks = list(FIRST_CHANGE_MARKS)
     if on_change:
         # a change completing at marks[0] itself is not one after marks[0]
         steps = np.diff(dense_rmf_walk.changes[:, marks[0] - 1 :], axis=1)
         marks[0] += int(np.flatnonzero(steps.any(axis=0))[0]) + 1
-    fast = run_walks(RmfWordSource(master_seed=29), 3000, marks, range(140),
-                     segment_len=777, first_change=True)
+    fast = run_walks(RmfWordSource(master_seed=29), 3000, marks, range(140), first_change=True)
     dense_v, dense_c = dense_rmf_walk.values, dense_rmf_walk.changes
     stops = []
     for i in range(140):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rmflab import engine, signs
+from rmflab import engine, models, signs
 from rmflab.analysis import count_sign_changes
 from rmflab.errors import ParameterError
 from rmflab.models import (
@@ -98,8 +98,10 @@ class TestSamplePath:
         tr = sample_path(ModelSpec("iid_rademacher"), 1, master_seed=5, sample_index=3)
         assert tr.final_value in (-1, 1)
 
-    def test_sidon_fixed_phase(self):
-        tr = sample_path(ModelSpec("sidon_cosine", sidon_u=0.0), 37, master_seed=1)
+    def test_sidon_fixed_phase(self, monkeypatch):
+        # U = 0: every term is sqrt(2) cos(0), so M(k) = sqrt(2) k
+        monkeypatch.setattr(models, "_sidon_phase", lambda master_seed, sample_index: 0.0)
+        tr = sample_path(ModelSpec("sidon_cosine"), 37, master_seed=1)
         assert tr.final_value == pytest.approx(math.sqrt(2) * 37, rel=1e-12)
 
     def test_determinism_and_sample_separation(self):
@@ -240,9 +242,9 @@ class TestPsi:
         assert rep.passed
         assert rep.max_deviation <= 10.0
 
-    def test_stability_flags_decreasing_psi(self):
-        bad = ModelSpec("iid_rademacher", psi_override=lambda x: 2.0 - 1e-3 * math.log(x))
-        rep = psi_stability_check(bad, math.exp(80.0), 3)
+    def test_stability_flags_decreasing_psi(self, monkeypatch):
+        monkeypatch.setattr(models, "psi_predictor", lambda model, x: 2.0 - 1e-3 * math.log(x))
+        rep = psi_stability_check(ModelSpec("iid_rademacher"), math.exp(80.0), 3)
         assert not rep.non_decreasing
         assert not rep.passed
 
