@@ -22,6 +22,7 @@ from rmflab.acceptance import (
     avg_v_scale,
     signprob_plan,
 )
+from rmflab.cli import positive_int
 from rmflab.montecarlo import estimate_sign_change_prob, expected_v_table
 from rmflab.pinned import PILOT_SEED
 from rmflab.sieve import mertens_trace
@@ -50,7 +51,7 @@ def pilot_avg_v(workers: int) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--workers", type=int, default=2)
+    ap.add_argument("--workers", type=positive_int, default=2)
     ap.add_argument("--only", choices=("signprob", "avgv", "mertens"), default=None)
     args = ap.parse_args()
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import change_positions_chunk, zero_run_count
+from .census import change_positions_chunk
 from .errors import ParameterError, ResourceError
 from .sieve import squarefree_count
 
@@ -120,7 +120,6 @@ class SignChangeReport:
 
     count: int
     positions: tuple[int, ...]
-    zero_runs: int
 
 
 def count_sign_changes(values) -> SignChangeReport:
@@ -133,11 +132,7 @@ def count_sign_changes(values) -> SignChangeReport:
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError("count_sign_changes needs a nonempty 1-d sequence")
     positions, _ = change_positions_chunk(arr, 0)
-    return SignChangeReport(
-        count=len(positions),
-        positions=tuple(positions),
-        zero_runs=zero_run_count(arr),
-    )
+    return SignChangeReport(count=len(positions), positions=tuple(positions))
 
 
 def exact_cross_moment(a: int, b: int) -> float:

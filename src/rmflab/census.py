@@ -129,12 +129,3 @@ def change_positions_chunk(
     if carry_sign != 0 and nz[0] != carry_sign:
         out.insert(0, int(idx[0]) + offset)
     return out, int(nz[-1])
-
-
-def zero_run_count(values: np.ndarray) -> int:
-    """Number of maximal runs of zeros in the sequence."""
-    z = np.asarray(values) == 0
-    if not z.any():
-        return 0
-    starts = z & ~np.concatenate(([False], z[:-1]))
-    return int(np.count_nonzero(starts))

@@ -200,10 +200,18 @@ def _check_finite(args: argparse.Namespace) -> None:
             raise ParameterError(f"{key} must be finite, got {value}")
 
 
+def positive_int(text: str) -> int:
+    """An int >= 1; a ``ValueError`` otherwise, so flag and config both exit 2."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not >= 1")
+    return value
+
+
 _OPTIONS = {
     "seed": dict(type=int, default=None, help="master seed (all randomness flows from it)"),
     "samples": dict(type=int, default=1000),
-    "workers": dict(type=int, default=1, help="sample-level parallelism; output independent of it"),
+    "workers": dict(type=positive_int, default=1, help="sample-level parallelism; output independent of it"),
     "n-boot": dict(dest="n_boot", type=int, default=1000),
     "budget": dict(type=float, default=None, help="step budget override (also env RMFLAB_BUDGET)"),
     "out": dict(default=None, help="output file path"),

@@ -235,8 +235,9 @@ def run_walks(
     """Walk all requested samples to ``x_end``, reporting at ``marks``.
 
     Segments are ``segment_length_for(x_end)`` integers long, fixed in this
-    process before any worker starts; ``workers`` splits the 64-sample
-    blocks between processes.  Neither changes the output.
+    process before any worker starts; ``workers`` (at least 1, else
+    ``ParameterError``) splits the 64-sample blocks between processes.
+    Neither changes the output.
 
     ``first_change=True`` (census runs only) is for callers that only ask
     whether a sign change follows ``marks[0]``: each lane is walked in
@@ -250,11 +251,12 @@ def run_walks(
     """
     if first_change and not census:
         raise ParameterError("first_change needs a census run")
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     x_end, marks_arr, samples = walk_inputs(x_end, marks, sample_indices, budget)
     seg_len = segment_length_for(x_end)
 
     blocks = group_blocks(samples)
-    workers = max(1, int(workers))
     k = marks_arr.size
     float_walk = source.is_float_walk()
     values = np.zeros((samples.size, k), dtype=np.float64 if float_walk else np.int64)

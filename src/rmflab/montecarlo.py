@@ -92,6 +92,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.samples < 1:
             raise ParameterError("samples must be >= 1")
+        if self.workers < 1:
+            raise ParameterError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)

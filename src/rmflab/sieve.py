@@ -112,9 +112,9 @@ def _tile(pattern: np.ndarray, lo: int, length: int) -> np.ndarray:
 
 
 @functools.cache
-def _signed_wheel(k: int) -> np.ndarray:
+def _signed_wheel(k: int, dtype: type) -> np.ndarray:
     """Product of -p over the first k wheel primes p dividing r, for each residue r."""
-    out = _wheel_pattern(k, [-p for p in WHEEL_PRIMES], np.multiply, 1, np.int64)
+    out = _wheel_pattern(k, [-p for p in WHEEL_PRIMES], np.multiply, 1, dtype)
     out.flags.writeable = False
     return out
 
@@ -124,23 +124,30 @@ class SegmentData:
     """Radical structure of the integers in [lo, hi) against small primes.
 
     Small primes are those <= sqrt(hi-1).  A squarefree n is the product of
-    its small prime factors times at most one big prime factor.  ``big``
-    holds the flat indices (n - lo) of the squarefree n that have one, and
-    ``big_prime`` that factor.  ``omega_parity`` (filled on request) is the
-    parity of the number of distinct prime factors; it is only meaningful
-    on squarefree entries, which is all the multiplicative walks consume.
+    its small prime factors times at most one big prime factor.  Which
+    fields are filled depends on the walk that asked (``want_parity`` of
+    :func:`segment_radical_data`):
 
-    The small primes split in two.  The first ``wheel`` of them are wheel
-    primes (2..13), folded in from a tiled per-residue pattern (see
-    :meth:`wheel_fold`); each later one is listed in ``strided`` as
-    (index of its first multiple, p) and takes one strided pass.
+    - parity walks (the Mobius walk, forced-sign hooks) get
+      ``omega_parity``, the parity of the number of distinct prime
+      factors, meaningful on squarefree entries only; ``big`` and
+      ``big_prime`` are None;
+    - the hashing walk gets ``big``, the flat indices (n - lo) of the
+      squarefree n that have a big prime factor, and ``big_prime`` (int64)
+      that factor; ``omega_parity`` is None.
+
+    ``squarefree`` is always filled.  The small primes split in two.  The
+    first ``wheel`` of them are wheel primes (2..13), folded in from a tiled
+    per-residue pattern (see :meth:`wheel_fold`); each later one is listed
+    in ``strided`` as (index of its first multiple, p) and takes one
+    strided pass.
     """
 
     lo: int
     hi: int
     squarefree: np.ndarray
-    big: np.ndarray
-    big_prime: np.ndarray
+    big: np.ndarray | None
+    big_prime: np.ndarray | None
     wheel: int
     strided: list[tuple[int, int]]
     omega_parity: np.ndarray | None = None
@@ -161,10 +168,15 @@ def segment_radical_data(
     absolute value is the small part of n's radical, its sign the parity
     of their number.  The product starts as a tiled per-residue pattern of
     the first k wheel primes 2..13 that are small; every later small prime
-    takes one strided pass.  A squarefree n (no small p^2 divides it) has
-    a big prime factor exactly when that radical part is below n.  Raises
-    ``ParameterError`` for an empty segment, lo < 1 or a prime table short
-    of isqrt(hi-1).
+    takes one strided pass.  It is held in int32 when hi <= 2^31 (its
+    absolute value is at most n < hi) and in int64 above.  A squarefree n
+    (no small p^2 divides it) has a big prime factor exactly when that
+    radical part is below n.
+
+    ``want_parity=True`` returns ``squarefree`` and ``omega_parity`` only;
+    otherwise ``squarefree``, ``big`` and ``big_prime`` (see
+    :class:`SegmentData`).  Raises ``ParameterError`` for an empty
+    segment, lo < 1 or a prime table short of isqrt(hi-1).
     """
     if not (1 <= lo < hi):
         raise ParameterError(f"segment [{lo}, {hi}) is empty or starts below 1")
@@ -177,10 +189,11 @@ def segment_radical_data(
     small = primes.primes[: np.searchsorted(primes.primes, lim, side="right")]
     k = min(small.size, len(WHEEL_PRIMES))
     strided = list(zip(((-lo) % small[k:]).tolist(), small[k:].tolist()))
-    prod = _tile(_signed_wheel(k), lo, L)
+    dtype = np.int32 if hi <= 1 << 31 else np.int64
+    prod = _tile(_signed_wheel(k, dtype), lo, L)
     for o, p in strided:
         view = prod[o::p]
-        np.multiply(view, -p, out=view)
+        np.multiply(view, dtype(-p), out=view)
     negative = prod < 0 if want_parity else None
     rad = np.abs(prod, out=prod)
     sqf = np.ones(L, dtype=bool)
@@ -194,17 +207,23 @@ def segment_radical_data(
     sqf[first[first < L]] = False
     # a squarefree n with a big prime q > lim has radical part n / q below
     # hi / (lim + 1) <= lim + 1, so past lim a comparison with lo suffices
-    has_big = rad < (lo if lo > lim else np.arange(lo, hi, dtype=np.int64))
-    big = np.flatnonzero(has_big & sqf)
+    has_big = rad < (lo if lo > lim else np.arange(lo, hi, dtype=dtype))
+    if want_parity:
+        big = big_prime = None
+        parity = negative ^ has_big
+    else:
+        big = np.flatnonzero(has_big & sqf)
+        big_prime = (big + lo) // rad[big]
+        parity = None
     return SegmentData(
         lo=lo,
         hi=hi,
         squarefree=sqf,
         big=big,
-        big_prime=(big + lo) // rad[big],
+        big_prime=big_prime,
         wheel=k,
         strided=strided,
-        omega_parity=None if negative is None else negative ^ has_big,
+        omega_parity=parity,
     )
 
 

@@ -180,7 +180,10 @@ WHEEL_PERIOD = 30030  # 2 * 3 * 5 * 7 * 11 * 13
 # Segments [lo, hi) at the edges of the sieve's wheel pre-sieve, by group:
 # every hi up to 170, where fewer than six wheel primes are <= isqrt(hi - 1);
 # lo at and next to multiples of the wheel period, with segments longer than
-# it; and one segment near 1e8, with squares both below and above its length.
+# it; one segment near 1e8, with squares both below and above its length;
+# and segments ending at, straddling and starting at 2^31, where the signed
+# radical product switches from int32 to int64.
+TWO_POW_31 = 1 << 31
 EDGE_SEGMENTS = {
     "below_170": [(1, hi) for hi in range(2, 171)]
     + [(lo, hi) for lo in (2, 7, 30, 97, 150) for hi in (lo + 1, lo + 13, 171)],
@@ -190,6 +193,11 @@ EDGE_SEGMENTS = {
         for d in (-1, 0, 1)
     ],
     "near_1e8": [(10**8 - (1 << 16), 10**8 + 1)],
+    "int32_ceiling": [
+        (TWO_POW_31 - (1 << 15), TWO_POW_31),
+        (TWO_POW_31 - (1 << 14), TWO_POW_31 + (1 << 14)),
+        (TWO_POW_31, TWO_POW_31 + (1 << 15)),
+    ],
 }
 
 

@@ -114,10 +114,9 @@ class TestCountSignChanges:
         assert count_sign_changes([5, 3, 2]).count == 0
         assert count_sign_changes([0, 0, 0]).count == 0
 
-    def test_positions_and_zero_runs(self):
+    def test_positions(self):
         rep = count_sign_changes([1, 0, -1, 0, 1])
         assert rep.positions == (2, 4)
-        assert rep.zero_runs == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):

@@ -6,7 +6,6 @@ from rmflab.census import (
     change_positions_chunk,
     count_changes_chunk,
     count_to_marks,
-    zero_run_count,
 )
 
 
@@ -62,12 +61,6 @@ def test_positions_mark_later_element():
     pos, _ = change_positions_chunk(np.array([-2.0, 5.0]), 1)
     # carry + means the first value already completes a change at index 0
     assert pos == [0, 1]
-
-
-def test_zero_run_count():
-    assert zero_run_count(np.array([0, 0, 1, 0, 2, 0, 0])) == 3
-    assert zero_run_count(np.array([1, 2])) == 0
-    assert zero_run_count(np.array([0])) == 1
 
 
 class TestCountToMarks:

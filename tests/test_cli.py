@@ -40,6 +40,27 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["moments", "--x", "100", "--samples", "4", "--seed", "1", "--workers", "0"],
+            ["moments", "--x", "100", "--samples", "4", "--seed", "1", "--workers", "-3"],
+            ["selftest", "--seed", "1", "--workers", "0"],
+        ],
+        ids=["moments-workers-0", "moments-workers-negative", "selftest-workers-0"],
+    )
+    def test_nonpositive_workers_exits_2(self, argv, monkeypatch, tmp_path, capsys):
+        def no_criterion(*args, **kwargs):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr("rmflab.acceptance.run_all", no_criterion)
+        out = tmp_path / "w.csv"
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["signprob", "--x", "nan", "--N", "8"],
             ["signprob", "--x", "inf", "--N", "8"],
             ["signprob", "--x", "100", "--N", "0"],
@@ -233,7 +254,9 @@ class TestConfigFile:
             run(["moments", "--config", str(cfg)])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("line", ["samples = abc", "budget = nan", "model = nosuch", "budget = -1"])
+    @pytest.mark.parametrize(
+        "line", ["samples = abc", "budget = nan", "model = nosuch", "budget = -1", "workers = 0"]
+    )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")

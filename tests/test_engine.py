@@ -20,6 +20,12 @@ def test_marks_validation():
         run_walks(src, 10, [5], [])
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_nonpositive_workers_rejected(workers):
+    with pytest.raises(ParameterError):
+        run_walks(IidWordSource(master_seed=1), 10, [5], [0], workers=workers)
+
+
 def test_budget_guardrail():
     src = IidWordSource(master_seed=1)
     with pytest.raises(ResourceError) as err:

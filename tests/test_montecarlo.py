@@ -63,6 +63,8 @@ class TestPlan:
     def test_validation(self):
         with pytest.raises(ParameterError):
             ExperimentPlan(master_seed=1, samples=0)
+        with pytest.raises(ParameterError):
+            ExperimentPlan(master_seed=1, samples=4, workers=0)
 
     def test_regime_flags(self):
         flags = regime_flags(math.exp(200.0), 8)

@@ -145,12 +145,14 @@ def test_segment_radical_data_matches_oracle(group):
         sqf, big, big_prime, parity = radical_reference(lo, hi, primes)
         data = segment_radical_data(lo, hi, primes, want_parity=True)
         assert np.array_equal(data.squarefree, sqf), (lo, hi)
-        assert np.array_equal(data.big, big), (lo, hi)
-        assert np.array_equal(data.big_prime, big_prime), (lo, hi)
         assert np.array_equal(data.omega_parity[sqf], parity[sqf]), (lo, hi)
+        assert data.big is None and data.big_prime is None
         plain = segment_radical_data(lo, hi, primes)
         assert plain.omega_parity is None
+        assert np.array_equal(plain.squarefree, sqf), (lo, hi)
+        assert np.array_equal(plain.big, big), (lo, hi)
         assert np.array_equal(plain.big_prime, big_prime), (lo, hi)
+        assert plain.big_prime.dtype == np.int64
 
 
 class TestMertens:
