@@ -18,9 +18,15 @@ segment [lo, hi) of integers:
 ``weights(ctx) -> float array or None``
     per-index magnitudes (None means the pure +-1/0 walk).
 
-Walks are reproducible bit-for-bit for any worker count: samples are
-partitioned by block, each block's output lands in preallocated rows, and
-no cross-sample float reduction happens here.
+Every lane walks each segment in pieces of ``PIECE`` integers through
+buffers allocated once per call.  An integer step is decoded from its
+lane bit; a float step is the weight with the lane bit moved into its
+sign bit, which negates it exactly.  A float piece carries the running
+value into its first step before its ``np.cumsum``, so a float walk is the
+plain sequential sum of its steps.  Outputs are therefore reproducible
+bit-for-bit for any worker count and any segment or piece length: samples
+are partitioned by block, each block's output lands in preallocated rows,
+and no cross-sample float reduction happens here.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ from .errors import ParameterError, ResourceError
 
 DEFAULT_BUDGET = 10**9
 MIN_SEGMENT = 1 << 20
-PIECE = 1 << 14  # steps a first_change lane walks between stop checks
+PIECE = 1 << 14  # steps a lane walks per piece; a first_change lane may stop after each
 INT32_CEILING = 1 << 30  # below this x_end, partial sums fit int32 exactly
+SIGN_BIT = np.uint64(1 << 63)
 
 
 @dataclass(frozen=True)
@@ -160,9 +167,12 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     # |M(u)| <= u, so int32 partial sums are exact below the ceiling and
     # much faster; the walk still reports int64 values outward.
     cum_dtype = np.int32 if x_end < INT32_CEILING else np.int64
-    # a first_change lane checks for its stop after every piece; any other
-    # run walks each segment as one piece
-    piece_len = PIECE if first_change else seg_len
+    # buffers reused by every piece: a piece of PIECE steps stays in cache
+    # through all of its passes
+    piece_len = min(PIECE, seg_len, x_end)
+    scratch = np.empty(piece_len, dtype=np.uint64)
+    walk = np.empty(piece_len, dtype=np.float64 if float_walk else cum_dtype)
+    step8 = np.empty(piece_len, dtype=np.int8)
 
     marks = np.asarray(marks, dtype=np.int64)
     one = np.uint64(1)
@@ -172,6 +182,8 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
         ctx = None  # free the last segment's context before building the next
         ctx = source.segment(state, lo, hi)
         w = source.weights(ctx)
+        if w is not None:
+            w_bits = np.ascontiguousarray(w, dtype=np.float64).view(np.uint64)
         row = 0
         for block, lanes, rows in blocks:
             if stopped[row : row + len(lanes)].all():
@@ -179,27 +191,42 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
                 continue
             words, active = source.block_words(ctx, block)
             active_i8 = None
-            if active is not None:
+            if active is not None and w is None:
                 active_i8 = active.astype(np.int8)
             for lane in lanes:
                 carry = int(carry_sign[row])
                 acc = int(change_acc[row])
                 changes_row = changes[row] if census else None
+                to_sign_bit = np.uint64(63) - lane
                 a = lo
                 while a < hi and not stopped[row]:
                     b = min(a + piece_len, hi)
                     span = slice(a - lo, b - lo)
-                    bit = ((words[span] >> lane) & one).astype(np.int8)
-                    np.multiply(bit, np.int8(-2), out=bit)
-                    bit += np.int8(1)
-                    if active_i8 is not None:
-                        bit *= active_i8[span]
+                    t = scratch[: b - a]
+                    m = walk[: b - a]
                     if w is None:
-                        m = np.cumsum(bit, dtype=cum_dtype)
+                        np.right_shift(words[span], lane, out=t)
+                        t &= one
+                        bit = step8[: b - a]
+                        bit[:] = t
+                        np.multiply(bit, np.int8(-2), out=bit)
+                        bit += np.int8(1)
+                        if active_i8 is not None:
+                            bit *= active_i8[span]
+                        bit.cumsum(dtype=m.dtype, out=m)
                         m += m.dtype.type(running[row])
                     else:
-                        m = np.cumsum(bit * w[span])
-                        m += running[row]
+                        # flipping a float's sign bit negates it exactly, so
+                        # each step is exactly +-w; carrying M in through the
+                        # first step makes the walk the plain sequential sum
+                        np.left_shift(words[span], to_sign_bit, out=t)
+                        t &= SIGN_BIT
+                        t ^= w_bits[span]
+                        step = t.view(np.float64)
+                        if active is not None:
+                            step *= active[span]
+                        step[0] += running[row]
+                        step.cumsum(out=m)
                     piece_carry = carry
                     carry, acc = count_to_marks(m, a, marks, carry, acc, values[row], changes_row)
                     running[row] = m[-1]
@@ -237,17 +264,18 @@ def run_walks(
     Segments are ``segment_length_for(x_end)`` integers long, fixed in this
     process before any worker starts; ``workers`` (at least 1, else
     ``ParameterError``) splits the 64-sample blocks between processes.
-    Neither changes the output.
+    Every lane walks each segment in pieces of ``PIECE`` integers, and a
+    float walk is the sequential sum of its steps, so no segment length,
+    piece length or worker count changes the output.
 
     ``first_change=True`` (census runs only) is for callers that only ask
-    whether a sign change follows ``marks[0]``: each lane is walked in
-    pieces of ``PIECE`` integers and stops at the end of the piece in which
-    its first sign change after ``marks[0]`` completes, at integer u say.
-    Marks up to u report the walk's own count and value; every later mark
-    repeats those at u, so ``changes[:, j] - changes[:, 0] >= 1`` is still
-    exactly the indicator of a change in (marks[0], marks[j]].  For integer
-    walks the output is then a function of (source, sample, marks) alone,
-    the same for any worker count and segment length.
+    whether a sign change follows ``marks[0]``: each lane stops at the end
+    of the piece in which its first sign change after ``marks[0]``
+    completes, at integer u say.  Marks up to u report the walk's own count
+    and value; every later mark repeats those at u, so
+    ``changes[:, j] - changes[:, 0] >= 1`` is still exactly the indicator
+    of a change in (marks[0], marks[j]].  The output is then a function of
+    (source, sample, marks) alone.
     """
     if first_change and not census:
         raise ParameterError("first_change needs a census run")

@@ -282,21 +282,27 @@ def _martingale_piece(r: np.ndarray, m: float, lo: float, hi: float) -> np.ndarr
     The amplitude only changes when M crosses between <= 0 and > 0, so the
     piece is summed in windows of constant amplitude: a window runs to its
     end or to the step that flips the regime, and starts at 64 steps,
-    doubling while no flip occurs.  ``np.cumsum`` adds in sequence, so every
-    value equals the step-by-step sum bit for bit.
+    doubling while no flip occurs.  Each window is summed in place in its
+    slice of the output: the steps r * amp, then m added to the first, then
+    a cumulative sum, which adds in sequence, so every value equals the
+    step-by-step sum bit for bit.  Values past a window's flip are
+    overwritten by the next window.
     """
     out = np.empty(r.size)
     i = 0
     width = 64
     while i < r.size:
-        amp = hi if m <= 0.0 else lo
-        c = np.cumsum(np.concatenate(([m], r[i : i + width] * amp)))[1:]
-        flips = np.flatnonzero((c <= 0.0) != (m <= 0.0))
-        n = int(flips[0]) + 1 if flips.size else c.size
-        out[i : i + n] = c[:n]
+        below = m <= 0.0
+        c = out[i : i + width]
+        np.multiply(r[i : i + width], hi if below else lo, out=c)
+        c[0] += m
+        c.cumsum(out=c)
+        flip = c > 0.0 if below else c <= 0.0
+        k = int(flip.argmax())
+        n = k + 1 if flip[k] else c.size
         m = c[n - 1]
         i += n
-        width = 64 if flips.size else 2 * width
+        width = 64 if flip[k] else 2 * width
     return out
 
 

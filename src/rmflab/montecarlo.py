@@ -148,6 +148,9 @@ def bootstrap_estimate(
     else:
         point = float(statistic(values))
         stat = statistic
+    # the mean of every resample of a 1-D sample in one reduction per chunk:
+    # each row of the C-contiguous index matrix sums pairwise like a lone vector
+    rowwise_mean = statistic is None and values.ndim == 1
     if n == 1:
         return EstimateWithCI(point, point, point, 0.0, 1, master_seed, purpose)
     rng = _boot_rng(master_seed, purpose)
@@ -157,8 +160,11 @@ def bootstrap_estimate(
     while done < n_boot:
         take = min(chunk, n_boot - done)
         idx = rng.integers(0, n, size=(take, n))
-        for i in range(take):
-            stats[done + i] = stat(values[idx[i]])
+        if rowwise_mean:
+            stats[done : done + take] = values[idx].mean(axis=1)
+        else:
+            for i in range(take):
+                stats[done + i] = stat(values[idx[i]])
         done += take
     lo, hi = np.percentile(stats, [2.5, 97.5])
     se = float(stats.std(ddof=1))
@@ -185,10 +191,17 @@ def _walk(
 def moment_table(
     plan: ExperimentPlan, x_list: Sequence[float], q_list: Sequence[float]
 ) -> dict[tuple[float, float], EstimateWithCI]:
-    """E|M(x)|^q for every (x, q) pair, sharing one trace per sample."""
+    """E|M(x)|^q for every (x, q) pair, sharing one trace per sample.
+
+    Every q must be finite and >= 0: M(x) = 0 has positive probability, so
+    a negative moment is infinite.
+    """
     xs, qs = tuple(x_list), tuple(q_list)
     if not xs or not qs:
         raise ParameterError("moment_table needs nonempty x and q lists")
+    bad = [q for q in qs if not (math.isfinite(q) and q >= 0)]
+    if bad:
+        raise ParameterError(f"moment orders q must be finite and >= 0, got {bad}")
     positions = [int(math.floor(x)) for x in xs]
     res = _walk(plan, positions, census=False)
     out: dict[tuple[float, float], EstimateWithCI] = {}

@@ -10,10 +10,11 @@ One hash therefore yields the signs of 64 consecutive samples at once,
 which is what lets the trace engine evaluate whole sample blocks with
 single uint64 XOR passes.
 
-Two implementations are kept in lockstep: a pure-Python one for scalar
-lookups and a vectorized numpy one for array lookups.  They must agree
-bit-for-bit (tested), since reproducibility of every experiment hangs on
-this module.
+The hash has a pure-Python form (``mix64``, for per-block keys and
+per-sample uniforms) and a vectorized numpy one (``mix64_array``, for sign
+words).  They must agree bit-for-bit (tested against each other and
+against the scalar sign word in the tests' oracle), since reproducibility
+of every experiment hangs on this module.
 """
 
 from __future__ import annotations
@@ -74,25 +75,15 @@ def block_key(master_seed: int, block: int, salt: int) -> int:
     return mix64((master_seed + GOLDEN * block + salt) & MASK64)
 
 
-def sign_word(key: int, value: int) -> int:
-    """64 lane sign bits for ``value`` under a block key.
-
-    Bit j is the sign bit of sample ``64*block + j``: 0 encodes +1, 1
-    encodes -1.
-    """
-    return mix64(key ^ mix64((value * GOLDEN) & MASK64))
-
-
 def sign_words_array(key: int, values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`sign_word` over an integer array."""
+    """64 lane sign bits for each value under a block key.
+
+    Bit j of a word is the sign bit of sample ``64*block + j``: 0 encodes
+    +1, 1 encodes -1.
+    """
     v = values.astype(np.uint64, copy=True)
     v *= np.uint64(GOLDEN)
     return mix64_array(mix64_array(v) ^ np.uint64(key))
-
-
-def sign_bit_to_int(word: int, lane: int) -> int:
-    """Extract lane's sign from a word: returns +1 or -1."""
-    return 1 - 2 * ((word >> lane) & 1)
 
 
 def uniform01(master_seed: int, sample_index: int, salt: int) -> float:

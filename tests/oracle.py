@@ -1,10 +1,11 @@
-"""Scalar reference oracle for the sieve and the multiplicative signs.
+"""Scalar reference oracle for the sieve, the signs and the walks.
 
 ``factor_segment`` factors every integer of a segment by repeated
 division, independently of ``rmflab.sieve``'s radical sieve, and
 ``f_value`` evaluates one sample of f at one integer from such a record
-through the scalar hash in ``rmflab.signs``.  The tests hold the package's
-vectorized paths against them.
+through the scalar sign word ``sign_word``, built on ``rmflab.signs.mix64``.
+``harmonic_walk`` is the r_n / sqrt(n) walk summed in one sequential pass.
+The tests hold the package's vectorized paths against them.
 """
 
 from __future__ import annotations
@@ -133,6 +134,32 @@ def factor_segment(lo: int, hi: int, primes: PrimeTable) -> FactorSegment:
     )
 
 
+def sign_word(key: int, value: int) -> int:
+    """64 lane sign bits for ``value`` under a block key (pure Python).
+
+    Bit j is the sign bit of sample ``64*block + j``: 0 encodes +1, 1
+    encodes -1.
+    """
+    return signs.mix64(key ^ signs.mix64((value * signs.GOLDEN) & signs.MASK64))
+
+
+def sign_bit_to_int(word: int, lane: int) -> int:
+    """Extract lane's sign from a word: returns +1 or -1."""
+    return 1 - 2 * ((word >> lane) & 1)
+
+
+def harmonic_walk(master_seed: int, sample_index: int, x_end: int) -> np.ndarray:
+    """M(u) for u in [1, x_end] of the walk sum_{n<=u} r_n / sqrt(n).
+
+    r_n is the sample's index-keyed sign from ``sign_word``; the walk is one
+    ``np.cumsum``, so every value is the plain sequential float sum.
+    """
+    key = signs.block_key(master_seed, sample_index >> 6, signs.SALT_INDEX)
+    lane = sample_index & 63
+    r = np.array([sign_bit_to_int(sign_word(key, n), lane) for n in range(1, x_end + 1)])
+    return np.cumsum(r / np.sqrt(np.arange(1, x_end + 1, dtype=np.float64)))
+
+
 def _debug_check_prime(p: int) -> None:
     if p < 2:
         raise ParameterError(f"{p} is not prime")
@@ -159,7 +186,7 @@ def sign_of_prime(oracle: SignOracle, p: int) -> int:
     block = oracle.sample_index >> 6
     lane = oracle.sample_index & 63
     key = signs.block_key(oracle.master_seed, block, signs.SALT_PRIME)
-    return signs.sign_bit_to_int(signs.sign_word(key, int(p)), lane)
+    return sign_bit_to_int(sign_word(key, int(p)), lane)
 
 
 def f_value(oracle: SignOracle, record: FactorRecord) -> int:

@@ -73,10 +73,12 @@ class TestExitCodes:
             ["correlations", "--x", "1e3", "--n", "1", "--max-m", "1"],
             ["correlations", "--x", "1e3", "--n", "4", "--max-m", "3"],
             ["signprob", "--x", "100", "--N", "2", "--budget", "-1"],
+            ["moments", "--x", "103", "--q", "-1"],
         ],
         ids=["signprob-x-nan", "signprob-x-inf", "signprob-N-0", "mertens-x-nan", "lambda-x-overflow",
              "signprob-x-past-int64", "signprob-n-boot-0", "events-N-0", "signprob-N-overflow",
-             "correlations-max-m-equals-n", "correlations-max-m-below-n", "signprob-budget-negative"],
+             "correlations-max-m-equals-n", "correlations-max-m-below-n", "signprob-budget-negative",
+             "moments-q-negative"],
     )
     def test_bad_number_exits_2(self, argv, capsys):
         if argv[0] not in ("mertens", "lambda"):  # the two without sampling options

@@ -4,8 +4,10 @@ import pytest
 from rmflab import engine
 from rmflab.engine import run_walks
 from rmflab.errors import ParameterError, ResourceError
-from rmflab.models import IidWordSource
+from rmflab.models import HarmonicWordSource, IidWordSource
 from rmflab.rmf import RmfWordSource
+
+from oracle import harmonic_walk
 
 
 def test_marks_validation():
@@ -71,6 +73,29 @@ def test_segment_length_invariance(monkeypatch):
     b = run_walks(src, 4000, [1, 1234, 4000], range(5))
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.changes, b.changes)
+
+
+HARMONIC_SEED, HARMONIC_END, HARMONIC_MARKS = 31, 20_000, [1000, 5000, 20_000]
+
+
+@pytest.fixture(scope="module")
+def harmonic_oracle_values():
+    """M at HARMONIC_MARKS of 70 harmonic walks, each summed in one pass."""
+    cols = np.array(HARMONIC_MARKS) - 1
+    return np.array([harmonic_walk(HARMONIC_SEED, s, HARMONIC_END)[cols] for s in range(70)])
+
+
+@pytest.mark.parametrize("setting", ["default", "segment-777", "piece-64", "workers-2"])
+def test_float_walk_is_the_sequential_sum(monkeypatch, setting, harmonic_oracle_values):
+    # the harmonic walk must not depend on segment length, piece length or
+    # workers: every value is the one-pass sum of r_n / sqrt(n)
+    if setting == "segment-777":
+        monkeypatch.setattr(engine, "MIN_SEGMENT", 777)
+    if setting == "piece-64":
+        monkeypatch.setattr(engine, "PIECE", 64)
+    res = run_walks(HarmonicWordSource(master_seed=HARMONIC_SEED), HARMONIC_END, HARMONIC_MARKS,
+                    range(70), workers=2 if setting == "workers-2" else 1)
+    assert np.array_equal(res.values, harmonic_oracle_values)
 
 
 def test_int32_and_int64_paths_agree(monkeypatch):

@@ -98,6 +98,15 @@ class TestBootstrap:
             ratio = widths[small] / widths[big]
             assert 1.0 <= ratio <= 4.0  # within factor 2 of the sqrt law (=2)
 
+    @pytest.mark.parametrize("n", [2, 7, 256, 511, 10_000])
+    def test_default_mean_matches_per_resample_mean(self, n):
+        # the chunked row means must equal one float(block.mean()) per resample
+        rng = np.random.default_rng(n)
+        for vals in (rng.normal(size=n) * 1e3, rng.integers(0, 5, n)):
+            a = bootstrap_estimate(vals, 5, "rows", 300)
+            b = bootstrap_estimate(vals, 5, "rows", 300, statistic=lambda blk: float(blk.mean()))
+            assert (a.ci_lo, a.ci_hi, a.se) == (b.ci_lo, b.ci_hi, b.se)
+
 
 class TestMoments:
     def test_q0_exactly_one(self):
@@ -122,6 +131,13 @@ class TestMoments:
         table = moment_table(p, [100.0, 1000.0], [1.0, 2.0])
         single = estimate_moment(p, 100.0, 1.0)
         assert table[(100.0, 1.0)] == single
+
+    @pytest.mark.parametrize("q", [-1.0, -0.5, math.inf, math.nan])
+    def test_negative_or_nonfinite_q_rejected_before_walking(self, q, walk_ends):
+        # M(103) = 0 for some samples, so a negative moment is infinite
+        with pytest.raises(ParameterError):
+            moment_table(plan(samples=200), [103.0], [1.0, q])
+        assert walk_ends == []
 
 
 class TestExpectedV:
