@@ -14,7 +14,8 @@ segment [lo, hi) of integers:
     shared per-segment data (factorizations, premixed hashes, weights);
 ``block_words(ctx, block) -> (words, active)``
     uint64 sign-parity words for one 64-sample block, plus an optional
-    bool mask of indices with a nonzero step;
+    bool mask of indices with a nonzero step (unweighted sources only: a
+    weighted source returns None and puts any zero step in its weights);
 ``weights(ctx) -> float array or None``
     per-index magnitudes (None means the pure +-1/0 walk).
 
@@ -183,7 +184,7 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
         ctx = source.segment(state, lo, hi)
         w = source.weights(ctx)
         if w is not None:
-            w_bits = np.ascontiguousarray(w, dtype=np.float64).view(np.uint64)
+            w_bits = w.view(np.uint64)
         row = 0
         for block, lanes, rows in blocks:
             if stopped[row : row + len(lanes)].all():
@@ -191,7 +192,7 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
                 continue
             words, active = source.block_words(ctx, block)
             active_i8 = None
-            if active is not None and w is None:
+            if active is not None:
                 active_i8 = active.astype(np.int8)
             for lane in lanes:
                 carry = int(carry_sign[row])
@@ -223,8 +224,6 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
                         t &= SIGN_BIT
                         t ^= w_bits[span]
                         step = t.view(np.float64)
-                        if active is not None:
-                            step *= active[span]
                         step[0] += running[row]
                         step.cumsum(out=m)
                     piece_carry = carry

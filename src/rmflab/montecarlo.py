@@ -133,8 +133,9 @@ def bootstrap_estimate(
 ) -> EstimateWithCI:
     """Percentile bootstrap of ``statistic`` (default: the mean).
 
-    ``values`` is indexed by sample, in sample-index order; rows may be
-    vectors (the statistic then receives the resampled row block).
+    ``values`` is indexed by sample, in sample-index order.  The default
+    mean takes a 1-D sample; rows may be vectors only for a caller-supplied
+    statistic, which then receives the resampled row block.
     """
     values = np.asarray(values)
     n = values.shape[0]
@@ -142,15 +143,7 @@ def bootstrap_estimate(
         raise ParameterError("bootstrap needs at least one sample")
     if n_boot < 1:
         raise ParameterError(f"bootstrap needs n_boot >= 1, got {n_boot}")
-    if statistic is None:
-        point = _mean_ordered(values)
-        stat = lambda block: float(block.mean())
-    else:
-        point = float(statistic(values))
-        stat = statistic
-    # the mean of every resample of a 1-D sample in one reduction per chunk:
-    # each row of the C-contiguous index matrix sums pairwise like a lone vector
-    rowwise_mean = statistic is None and values.ndim == 1
+    point = _mean_ordered(values) if statistic is None else float(statistic(values))
     if n == 1:
         return EstimateWithCI(point, point, point, 0.0, 1, master_seed, purpose)
     rng = _boot_rng(master_seed, purpose)
@@ -160,11 +153,13 @@ def bootstrap_estimate(
     while done < n_boot:
         take = min(chunk, n_boot - done)
         idx = rng.integers(0, n, size=(take, n))
-        if rowwise_mean:
+        if statistic is None:
+            # every resample's mean in one reduction per chunk: each row of
+            # the C-contiguous index matrix sums pairwise like a lone vector
             stats[done : done + take] = values[idx].mean(axis=1)
         else:
             for i in range(take):
-                stats[done + i] = stat(values[idx[i]])
+                stats[done + i] = statistic(values[idx[i]])
         done += take
     lo, hi = np.percentile(stats, [2.5, 97.5])
     se = float(stats.std(ddof=1))

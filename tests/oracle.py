@@ -4,7 +4,7 @@
 division, independently of ``rmflab.sieve``'s radical sieve, and
 ``f_value`` evaluates one sample of f at one integer from such a record
 through the scalar sign word ``sign_word``, built on ``rmflab.signs.mix64``.
-``harmonic_walk`` is the r_n / sqrt(n) walk summed in one sequential pass.
+``harmonic_walks`` sums the r_n / sqrt(n) walks in one sequential pass each.
 The tests hold the package's vectorized paths against them.
 """
 
@@ -148,16 +148,22 @@ def sign_bit_to_int(word: int, lane: int) -> int:
     return 1 - 2 * ((word >> lane) & 1)
 
 
-def harmonic_walk(master_seed: int, sample_index: int, x_end: int) -> np.ndarray:
-    """M(u) for u in [1, x_end] of the walk sum_{n<=u} r_n / sqrt(n).
+def harmonic_walks(master_seed: int, samples: int, x_end: int) -> np.ndarray:
+    """M(u) for u in [1, x_end] of the walks sum_{n<=u} r_n / sqrt(n).
 
-    r_n is the sample's index-keyed sign from ``sign_word``; the walk is one
-    ``np.cumsum``, so every value is the plain sequential float sum.
+    Row s is sample s.  r_n is its index-keyed sign from ``sign_word``,
+    hashed once per (block, n) and shared by the block's lanes; each walk
+    is one ``np.cumsum``, so every value is the plain sequential float sum.
     """
-    key = signs.block_key(master_seed, sample_index >> 6, signs.SALT_INDEX)
-    lane = sample_index & 63
-    r = np.array([sign_bit_to_int(sign_word(key, n), lane) for n in range(1, x_end + 1)])
-    return np.cumsum(r / np.sqrt(np.arange(1, x_end + 1, dtype=np.float64)))
+    weights = 1.0 / np.sqrt(np.arange(1, x_end + 1, dtype=np.float64))
+    out = np.empty((samples, x_end))
+    for block in range((samples + 63) // 64):
+        key = signs.block_key(master_seed, block, signs.SALT_INDEX)
+        words = [sign_word(key, n) for n in range(1, x_end + 1)]
+        for lane in range(min(64, samples - 64 * block)):
+            r = np.array([sign_bit_to_int(word, lane) for word in words])
+            out[64 * block + lane] = np.cumsum(r * weights)
+    return out
 
 
 def _debug_check_prime(p: int) -> None:

@@ -7,7 +7,7 @@ from rmflab.errors import ParameterError, ResourceError
 from rmflab.models import HarmonicWordSource, IidWordSource
 from rmflab.rmf import RmfWordSource
 
-from oracle import harmonic_walk
+from oracle import harmonic_walks
 
 
 def test_marks_validation():
@@ -82,7 +82,7 @@ HARMONIC_SEED, HARMONIC_END, HARMONIC_MARKS = 31, 20_000, [1000, 5000, 20_000]
 def harmonic_oracle_values():
     """M at HARMONIC_MARKS of 70 harmonic walks, each summed in one pass."""
     cols = np.array(HARMONIC_MARKS) - 1
-    return np.array([harmonic_walk(HARMONIC_SEED, s, HARMONIC_END)[cols] for s in range(70)])
+    return harmonic_walks(HARMONIC_SEED, 70, HARMONIC_END)[:, cols]
 
 
 @pytest.mark.parametrize("setting", ["default", "segment-777", "piece-64", "workers-2"])
