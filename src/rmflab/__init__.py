@@ -12,24 +12,21 @@ __version__ = "0.1.0"
 from .analysis import (
     LambdaParams,
     SignChangeReport,
-    chebyshev_tail_bound,
     count_sign_changes,
     exact_correlation,
-    exact_cross_moment,
     forcing_events,
     harper_predictor,
     lambda_asymptotic,
     lambda_exact,
 )
 from .engine import PartialSumTrace, WalkResult, run_walks
-from .errors import InternalError, ParameterError, ResourceError, RmflabError
+from .errors import ParameterError, ResourceError, RmflabError
 from .models import (
     ModelSpec,
     SidonSet,
     collect_walks,
     mian_chowla,
     psi_predictor,
-    psi_stability_check,
     sample_path,
 )
 from .montecarlo import (
@@ -52,7 +49,7 @@ from .sieve import PrimeTable, mertens_trace, primes_up_to, squarefree_count
 __all__ = [
     "__version__",
     # errors
-    "RmflabError", "ParameterError", "ResourceError", "InternalError",
+    "RmflabError", "ParameterError", "ResourceError",
     # sieve
     "PrimeTable", "primes_up_to", "squarefree_count", "mertens_trace",
     # walks
@@ -60,11 +57,10 @@ __all__ = [
     "SignOracle", "rmf_trace",
     # models
     "ModelSpec", "SidonSet", "mian_chowla", "sample_path", "collect_walks",
-    "psi_predictor", "psi_stability_check",
+    "psi_predictor",
     # analysis
     "LambdaParams", "lambda_exact", "lambda_asymptotic", "harper_predictor",
-    "SignChangeReport", "count_sign_changes", "exact_cross_moment",
-    "exact_correlation", "chebyshev_tail_bound", "forcing_events",
+    "SignChangeReport", "count_sign_changes", "exact_correlation", "forcing_events",
     # experiments
     "ExperimentPlan", "EstimateWithCI", "RunManifest",
     "estimate_moment", "moment_table", "estimate_expected_V",

@@ -5,8 +5,8 @@ Core objects:
 * the grid sum  Lambda(N, x, q) = sum_{n<=N} (1 + (1-q/2) sqrt(loglog(e^n x)))^(-q/2)
   together with its large-x simplification  N / ((1-q/2)^{q/2} (loglog x)^{q/4});
 * the moment-shape predictor  (x / (1 + (1-q/2) sqrt(loglog x)))^{q/2};
-* exact second-order statistics of the normalized walk Y_n, derived from
-  Q(x) by orthogonality:  E M(a)M(b) = Q(min(a,b)),  E M(u) = 1;
+* the exact correlation of the normalized walk Y_n, derived from Q(x) by
+  orthogonality:  E M(a)M(b) = Q(min(a,b)),  E M(u) = 1;
 * the zero-skip sign-change counter;
 * the forcing events A = [S_N* >= eps * Lambda], B = [|S_N| <= Lambda^{1-delta}]
   on a samples x N matrix of Y_n, whose joint occurrence forces mixed signs
@@ -135,13 +135,6 @@ def count_sign_changes(values) -> SignChangeReport:
     return SignChangeReport(count=len(positions), positions=tuple(positions))
 
 
-def exact_cross_moment(a: int, b: int) -> float:
-    """E M(a) M(b) = Q(min(a, b)) by orthogonality of the f(n)."""
-    if a < 1 or b < 1:
-        raise ParameterError("cross moment needs a, b >= 1")
-    return float(squarefree_count(min(int(a), int(b))))
-
-
 def _grid_point(x: float, n: int) -> int:
     u = math.floor(math.exp(n) * x)
     if u > SIEVE_ARGUMENT_CEILING:
@@ -173,26 +166,6 @@ def exact_correlation(x: float, n: int, m: int) -> float:
     if var_n <= 0 or var_m <= 0:
         raise ParameterError(f"degenerate variance at x={x}; use larger x")
     return (e_yn_ym - mean_prod) / math.sqrt(var_n * var_m)
-
-
-def exact_s_n_second_moment(N: int, x: float) -> float:
-    """E S_N^2 = sum_{n,m<=N} Q(floor(e^{min} x)) / (e^{(n+m)/2} x), exact."""
-    if N < 1:
-        raise ParameterError("N must be >= 1")
-    q_vals = [squarefree_count(_grid_point(x, k)) for k in range(1, N + 1)]
-    terms = []
-    for n in range(1, N + 1):
-        terms.append(q_vals[n - 1] / (math.exp(n) * x))
-        for m in range(n + 1, N + 1):
-            terms.append(2.0 * q_vals[n - 1] / (math.exp((n + m) / 2.0) * x))
-    return math.fsum(terms)
-
-
-def chebyshev_tail_bound(N: int, lam: float, x: float) -> float:
-    """Markov bound P(|S_N| >= lam) <= E S_N^2 / lam^2 with the exact moment."""
-    if lam <= 0:
-        raise ParameterError(f"threshold must be positive, got {lam}")
-    return exact_s_n_second_moment(N, x) / (lam * lam)
 
 
 def check_event_params(epsilon: float, delta: float) -> None:

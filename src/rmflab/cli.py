@@ -140,7 +140,10 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in _parse_floats(text)]
+    values = _parse_floats(text)
+    if not all(v.is_integer() for v in values):
+        raise ParameterError(f"integer list {text!r} holds a non-integer value")
+    return [int(v) for v in values]
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -402,6 +405,8 @@ def cmd_correlations(args) -> int:
             raise ParameterError(f"--max-m must exceed --n={args.n}, got {args.max_m}")
         pairs = [(n, m) for n in range(args.n, args.max_m) for m in range(n + 1, args.max_m + 1)]
     elif args.m is not None:
+        if args.m <= args.n:
+            raise ParameterError(f"--m must exceed --n={args.n}, got {args.m}")
         pairs = [(args.n, args.m)]
     else:
         raise ParameterError("give --m or --max-m")

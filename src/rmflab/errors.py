@@ -22,7 +22,3 @@ class ResourceError(RmflabError, RuntimeError):
     def __init__(self, message: str, required: int | None = None):
         super().__init__(message)
         self.required = required
-
-
-class InternalError(RmflabError, RuntimeError):
-    """Inconsistent internal state (e.g. a corrupted factorization record)."""

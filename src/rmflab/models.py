@@ -58,10 +58,6 @@ class SidonSet:
     """Strictly increasing integers with pairwise-distinct sums (B2)."""
 
     elements: tuple[int, ...]
-    cap: int = 3  # max solutions of m = n_j +- n_k for any m, ordered pairs
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 @lru_cache(maxsize=None)
@@ -173,41 +169,6 @@ def psi_predictor(model: ModelSpec, x: float) -> float:
     raise ParameterError(
         f"model {model.kind!r} declares no psi (out-of-hypothesis stress model)"
     )
-
-
-@dataclass(frozen=True)
-class PsiStabilityReport:
-    """Outcome of the slow-variation check on a doubling grid of x."""
-
-    max_deviation: float  # max over the grid and n of |psi(e^n x)/psi(x) - 1| * log(x)/n
-    non_decreasing: bool
-    passed: bool
-
-
-def psi_stability_check(model: ModelSpec, x: float, N: int) -> PsiStabilityReport:
-    """Check psi(e^n x) = psi(x)(1 + O(n/log x)) with constant 10 at x, 2x, ..., 32x.
-
-    Requires the N = o(log x) regime, enforced as N <= log(x)/10.
-    """
-    if N < 1:
-        raise ParameterError("N must be >= 1")
-    if N > math.log(x) / 10.0:
-        raise ParameterError(
-            f"regime violation: need N <= log(x)/10 = {math.log(x) / 10.0:.3f}"
-        )
-    max_dev = 0.0
-    seen: list[tuple[float, float]] = []
-    for xj in (x * 2.0**j for j in range(6)):
-        base = psi_predictor(model, xj)
-        seen.append((xj, base))
-        for n in range(1, N + 1):
-            xn = math.exp(n) * xj
-            val = psi_predictor(model, xn)
-            seen.append((xn, val))
-            max_dev = max(max_dev, abs(val / base - 1.0) * math.log(xj) / n)
-    seen.sort()
-    non_dec = all(b[1] >= a[1] - 1e-12 for a, b in zip(seen, seen[1:]))
-    return PsiStabilityReport(max_dev, non_dec, bool(non_dec and max_dev <= 10.0))
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,6 @@ class PrimeTable:
     limit: int
     primes: np.ndarray
 
-    def __len__(self) -> int:
-        return int(self.primes.size)
-
 
 def primes_up_to(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes. Valid for 2 <= limit <= 2^40."""

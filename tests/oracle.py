@@ -16,7 +16,7 @@ from math import isqrt
 import numpy as np
 
 from rmflab import signs
-from rmflab.errors import InternalError, ParameterError
+from rmflab.errors import ParameterError
 from rmflab.rmf import SignOracle
 from rmflab.sieve import PrimeTable
 
@@ -34,14 +34,14 @@ class FactorRecord:
         rad = 1
         for p in self.prime_factors:
             if self.n % p != 0:
-                raise InternalError(f"{p} recorded but does not divide {self.n}")
+                raise AssertionError(f"{p} recorded but does not divide {self.n}")
             if self.cofactor % p == 0:
-                raise InternalError(f"cofactor {self.cofactor} shares factor {p}")
+                raise AssertionError(f"cofactor {self.cofactor} shares factor {p}")
             rad *= p
         if self.cofactor > 1 and self.n % self.cofactor != 0:
-            raise InternalError(f"cofactor {self.cofactor} does not divide {self.n}")
+            raise AssertionError(f"cofactor {self.cofactor} does not divide {self.n}")
         if self.squarefree and rad * self.cofactor != self.n:
-            raise InternalError(
+            raise AssertionError(
                 f"squarefree {self.n} != product of factors {rad} * {self.cofactor}"
             )
 

@@ -74,16 +74,34 @@ class TestExitCodes:
             ["correlations", "--x", "1e3", "--n", "4", "--max-m", "3"],
             ["signprob", "--x", "100", "--N", "2", "--budget", "-1"],
             ["moments", "--x", "103", "--q", "-1"],
+            ["simulate", "--x", "100", "--checkpoints", "1.5,7", "--seed", "1"],
         ],
         ids=["signprob-x-nan", "signprob-x-inf", "signprob-N-0", "mertens-x-nan", "lambda-x-overflow",
              "signprob-x-past-int64", "signprob-n-boot-0", "events-N-0", "signprob-N-overflow",
              "correlations-max-m-equals-n", "correlations-max-m-below-n", "signprob-budget-negative",
-             "moments-q-negative"],
+             "moments-q-negative", "simulate-checkpoint-fractional"],
     )
     def test_bad_number_exits_2(self, argv, capsys):
-        if argv[0] not in ("mertens", "lambda"):  # the two without sampling options
+        if argv[0] not in ("mertens", "lambda", "simulate"):  # those without sampling options
             argv = argv + ["--seed", "1", "--samples", "4"]
         assert run(argv) == 2
+        assert "rmflab: error: parameter:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--x", "100", "--n-boot", "0"],
+            ["correlations", "--x", "100", "--n", "3", "--m", "2"],
+            ["correlations", "--x", "100", "--n", "2", "--m", "2"],
+        ],
+        ids=["moments-n-boot-0", "correlations-m-below-n", "correlations-m-equals-n"],
+    )
+    def test_bad_plan_exits_2_before_walking(self, argv, monkeypatch, capsys):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a walk ran")
+
+        monkeypatch.setattr("rmflab.montecarlo.collect_walks", no_walk)
+        assert run([*argv, "--seed", "1", "--samples", "4"]) == 2
         assert "rmflab: error: parameter:" in capsys.readouterr().err
 
     def test_bad_budget_environment_exits_2(self, monkeypatch, capsys):

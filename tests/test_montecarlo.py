@@ -32,6 +32,24 @@ def plan(seed=101, samples=500, kind="rmf", **kw):
     return ExperimentPlan(master_seed=seed, samples=samples, model=ModelSpec(kind), **kw)
 
 
+def pearson(block):
+    """Pearson correlation of the two columns of one (n, 2) sample."""
+    a, b = block[:, 0], block[:, 1]
+    sa, sb = a.std(), b.std()
+    if sa == 0 or sb == 0:
+        return 0.0
+    return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
+
+
+def looped_bootstrap(values, seed, purpose, n_boot, statistic, point):
+    """The percentile bootstrap on the same draws, one scalar ``statistic`` call per resample."""
+    rng = montecarlo._boot_rng(seed, purpose)
+    n = values.shape[0]
+    stats = np.array([statistic(values[rng.integers(0, n, size=n)]) for _ in range(n_boot)])
+    lo, hi = np.percentile(stats, [2.5, 97.5])
+    return EstimateWithCI(point, float(lo), float(hi), float(stats.std(ddof=1)), n, seed, purpose)
+
+
 @pytest.fixture
 def walk_ends(monkeypatch):
     """The x_end of every walk the estimators start, in call order."""
@@ -65,6 +83,8 @@ class TestPlan:
             ExperimentPlan(master_seed=1, samples=0)
         with pytest.raises(ParameterError):
             ExperimentPlan(master_seed=1, samples=4, workers=0)
+        with pytest.raises(ParameterError, match="n_boot >= 1"):
+            ExperimentPlan(master_seed=1, samples=4, n_boot=0)
 
     def test_regime_flags(self):
         flags = regime_flags(math.exp(200.0), 8)
@@ -104,7 +124,7 @@ class TestBootstrap:
         rng = np.random.default_rng(n)
         for vals in (rng.normal(size=n) * 1e3, rng.integers(0, 5, n)):
             a = bootstrap_estimate(vals, 5, "rows", 300)
-            b = bootstrap_estimate(vals, 5, "rows", 300, statistic=lambda blk: float(blk.mean()))
+            b = looped_bootstrap(vals, 5, "rows", 300, lambda blk: float(blk.mean()), a.point)
             assert (a.ci_lo, a.ci_hi, a.se) == (b.ci_lo, b.ci_hi, b.se)
 
 
@@ -242,6 +262,14 @@ class TestCorrelation:
         # the caller's order names the bootstrap stream, the statistic is symmetric
         assert table[(4, 2)].purpose.endswith("|n=4|m=2")
         assert table[(4, 2)].point == table[(2, 4)].point
+
+    def test_table_matches_per_resample_pearson(self):
+        p = plan(samples=301, seed=11, n_boot=200)
+        y = montecarlo._checkpoint_matrix(p, 1000.0, 3)
+        for (n, m), est in correlation_table(p, 1000.0, [(1, 3), (3, 2)]).items():
+            lo, hi = sorted((n, m))
+            cols = y[:, [lo - 1, hi - 1]]
+            assert est == looped_bootstrap(cols, 11, est.purpose, 200, pearson, pearson(cols))
 
     def test_distant_pair_decays(self):
         est = estimate_correlation(plan(samples=1500, seed=7), 1000.0, 1, 6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rmflab import models, signs
-from rmflab.errors import InternalError, ParameterError, ResourceError
+from rmflab.errors import ParameterError, ResourceError
 from rmflab.montecarlo import ExperimentPlan, _checkpoint_matrix, bootstrap_estimate
 from rmflab.models import ModelSpec, collect_walks
 from rmflab.rmf import RmfWordSource, SignOracle, grid_positions, rmf_trace
@@ -89,7 +89,7 @@ class TestFValue:
 
     def test_inconsistent_record_rejected(self):
         bad = FactorRecord(n=10, prime_factors=(3,), cofactor=1, squarefree=True)
-        with pytest.raises(InternalError):
+        with pytest.raises(AssertionError):
             f_value(SignOracle(1), bad)
 
 

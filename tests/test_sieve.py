@@ -37,7 +37,7 @@ class TestPrimes:
         assert primes_up_to(2).primes.tolist() == [2]
 
     def test_pi_of_one_million(self):
-        assert len(primes_up_to(10**6)) == 78498
+        assert primes_up_to(10**6).primes.size == 78498
 
     def test_strictly_increasing_and_prime(self):
         pt = primes_up_to(500)
