@@ -121,9 +121,6 @@ def export(records: list[dict], fmt: str, path: str, manifest_ref: str | None = 
                     row = {k: r.get(k) for k in RECORD_FIELDS}
                     if manifest_ref:
                         row["manifest"] = manifest_ref
-                    for k, v in row.items():
-                        if isinstance(v, float):
-                            row[k] = float(format(v, ".17g"))
                     fh.write(json.dumps(row) + "\n")
     except OSError as exc:
         raise ResourceError(f"cannot write {path}: {exc}") from exc

@@ -25,14 +25,13 @@ lane bit; a float step is the weight with the lane bit moved into its
 sign bit, which negates it exactly.  A float piece carries the running
 value into its first step before its ``np.cumsum``, so a float walk is the
 plain sequential sum of its steps.  Outputs are therefore reproducible
-bit-for-bit for any worker count and any segment or piece length: samples
-are partitioned by block, each block's output lands in preallocated rows,
-and no cross-sample float reduction happens here.
+bit-for-bit for any segment or piece length, and no cross-sample float
+reduction happens here.  The engine walks in the calling process;
+:func:`models.collect_walks` splits samples between processes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 from typing import Any, Sequence
@@ -142,22 +141,54 @@ def walk_inputs(
     return x_end, marks_arr, samples
 
 
-def group_blocks(sample_indices: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Group samples into (block, lanes, output_rows) triples."""
-    out = []
-    blocks = sample_indices >> 6
-    for b in np.unique(blocks):
-        rows = np.flatnonzero(blocks == b)
-        lanes = (sample_indices[rows] & 63).astype(np.uint64)
-        out.append((int(b), lanes, rows))
-    return out
+def block_starts(samples: np.ndarray) -> np.ndarray:
+    """The index of each 64-sample block's first sample in sorted ``samples``."""
+    # np.unique would do, but its first call in a process costs ~12 ms, paid
+    # again by every freshly forked worker
+    return np.flatnonzero(np.diff(samples >> 6, prepend=-1))
 
 
-def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    (source, x_end, marks, blocks, census, seg_len, first_change) = args
+def group_blocks(samples: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Group sorted samples into (block, lanes) pairs, in sample order."""
+    runs = np.split(samples, block_starts(samples)[1:])
+    return [(int(run[0] >> 6), (run & 63).astype(np.uint64)) for run in runs]
+
+
+def run_walks(
+    source: Any,
+    x_end: int,
+    marks: Sequence[int],
+    sample_indices: Sequence[int] | np.ndarray,
+    *,
+    census: bool = True,
+    budget: int | None = None,
+    first_change: bool = False,
+) -> WalkResult:
+    """Walk all requested samples to ``x_end`` in this process, reporting at ``marks``.
+
+    Segments are ``segment_length_for(x_end)`` integers long, and every
+    lane walks each segment in pieces of ``PIECE`` integers; a float walk
+    is the sequential sum of its steps, so no segment or piece length
+    changes the output.  Each sample's row depends only on (source,
+    sample, marks), so a caller may walk runs of samples anywhere and
+    concatenate them.
+
+    ``first_change=True`` (census runs only) is for callers that only ask
+    whether a sign change follows ``marks[0]``: each lane stops at the end
+    of the piece in which its first sign change after ``marks[0]``
+    completes, at integer u say.  Marks up to u report the walk's own count
+    and value; every later mark repeats those at u, so
+    ``changes[:, j] - changes[:, 0] >= 1`` is still exactly the indicator
+    of a change in (marks[0], marks[j]].  The output is then a function of
+    (source, sample, marks) alone.
+    """
+    if first_change and not census:
+        raise ParameterError("first_change needs a census run")
+    x_end, marks, samples = walk_inputs(x_end, marks, sample_indices, budget)
+    seg_len = segment_length_for(x_end)
+    blocks = group_blocks(samples)
     state = source.begin(x_end)
-    n_rows = sum(len(rows) for _, _, rows in blocks)
-    k = len(marks)
+    n_rows, k = samples.size, marks.size
     float_walk = source.is_float_walk()
     values = np.zeros((n_rows, k), dtype=np.float64 if float_walk else np.int64)
     changes = np.zeros((n_rows, k), dtype=np.int64) if census else None
@@ -175,7 +206,6 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     walk = np.empty(piece_len, dtype=np.float64 if float_walk else cum_dtype)
     step8 = np.empty(piece_len, dtype=np.int8)
 
-    marks = np.asarray(marks, dtype=np.int64)
     one = np.uint64(1)
     lo = 1
     while lo <= x_end:
@@ -186,7 +216,7 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
         if w is not None:
             w_bits = w.view(np.uint64)
         row = 0
-        for block, lanes, rows in blocks:
+        for block, lanes in blocks:
             if stopped[row : row + len(lanes)].all():
                 row += len(lanes)
                 continue
@@ -243,68 +273,4 @@ def _run_block_group(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
                 change_acc[row] = acc
                 row += 1
         lo = hi
-    rows_all = np.concatenate([rows for _, _, rows in blocks])
-    return rows_all, values, changes
-
-
-def run_walks(
-    source: Any,
-    x_end: int,
-    marks: Sequence[int],
-    sample_indices: Sequence[int] | np.ndarray,
-    *,
-    census: bool = True,
-    workers: int = 1,
-    budget: int | None = None,
-    first_change: bool = False,
-) -> WalkResult:
-    """Walk all requested samples to ``x_end``, reporting at ``marks``.
-
-    Segments are ``segment_length_for(x_end)`` integers long, fixed in this
-    process before any worker starts; ``workers`` (at least 1, else
-    ``ParameterError``) splits the 64-sample blocks between processes.
-    Every lane walks each segment in pieces of ``PIECE`` integers, and a
-    float walk is the sequential sum of its steps, so no segment length,
-    piece length or worker count changes the output.
-
-    ``first_change=True`` (census runs only) is for callers that only ask
-    whether a sign change follows ``marks[0]``: each lane stops at the end
-    of the piece in which its first sign change after ``marks[0]``
-    completes, at integer u say.  Marks up to u report the walk's own count
-    and value; every later mark repeats those at u, so
-    ``changes[:, j] - changes[:, 0] >= 1`` is still exactly the indicator
-    of a change in (marks[0], marks[j]].  The output is then a function of
-    (source, sample, marks) alone.
-    """
-    if first_change and not census:
-        raise ParameterError("first_change needs a census run")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    x_end, marks_arr, samples = walk_inputs(x_end, marks, sample_indices, budget)
-    seg_len = segment_length_for(x_end)
-
-    blocks = group_blocks(samples)
-    k = marks_arr.size
-    float_walk = source.is_float_walk()
-    values = np.zeros((samples.size, k), dtype=np.float64 if float_walk else np.int64)
-    changes = np.zeros((samples.size, k), dtype=np.int64) if census else None
-
-    if workers == 1 or len(blocks) == 1:
-        parts = [
-            _run_block_group(
-                (source, x_end, tuple(marks_arr), blocks, census, seg_len, first_change)
-            )
-        ]
-    else:
-        chunks = [c for c in np.array_split(np.arange(len(blocks)), workers) if c.size]
-        payloads = [
-            (source, x_end, tuple(marks_arr), [blocks[i] for i in c], census, seg_len, first_change)
-            for c in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            parts = list(pool.map(_run_block_group, payloads))
-    for rows, v, ch in parts:
-        values[rows] = v
-        if census:
-            changes[rows] = ch
-    return WalkResult(marks_arr, values, changes)
+    return WalkResult(marks, values, changes)

@@ -16,13 +16,17 @@ norm-deficit function psi with ||M(x)||_1 ~ sqrt(x)/psi(x): constant 1 for
 the unit-variance examples, (1 + sqrt(loglog x)/2)^(1/2) for the
 multiplicative walk.  The harmonic model is exposed as an out-of-hypothesis
 stress case and declares no psi.
+
+:func:`collect_walks` walks every model and is the one place that splits
+samples between worker processes.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .census import count_to_marks
 from .engine import (
     PartialSumTrace,
     WalkResult,
+    block_starts,
     group_blocks,
     run_walks,
     segment_length_for,
@@ -216,18 +221,20 @@ def _sidon_phase(master_seed: int, sample_index: int) -> float:
 
 
 def _collect_sidon(
-    x_end: int,
+    terms: np.ndarray,
     marks: np.ndarray,
     samples: np.ndarray,
     master_seed: int,
     census: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    terms = np.asarray(mian_chowla(x_end).elements, dtype=np.float64)
+    x_end = terms.size
     values = np.zeros((samples.size, marks.size))
     changes = np.zeros((samples.size, marks.size), dtype=np.int64) if census else None
     phases = np.array([_sidon_phase(master_seed, int(s)) for s in samples])
-    # rows per chunk: keeps the three chunk-sized float temporaries near 16 MB
-    chunk = max(1, int(2e6) // x_end)
+    # rows per chunk: keeps the three chunk-sized float temporaries near
+    # 1.6 MB, in cache (at 16 MB two workers shared memory bandwidth and
+    # each ran as slowly as one did alone)
+    chunk = max(1, int(2e5) // x_end)
     root2 = math.sqrt(2.0)
     for i0 in range(0, samples.size, chunk):
         i1 = min(i0 + chunk, samples.size)
@@ -282,7 +289,10 @@ def _collect_martingale(
     change_acc = np.zeros(samples.size, dtype=np.int64)
     seg_len = segment_length_for(x_end)
     one = np.uint64(1)
-    for block, lanes, rows in group_blocks(samples):
+    row0 = 0
+    for block, lanes in group_blocks(samples):
+        rows = range(row0, row0 + lanes.size)
+        row0 += lanes.size
         key = signs.block_key(master_seed, block, SALT_MARTINGALE)
         for lo in range(1, x_end + 1, seg_len):
             n = np.arange(lo, min(lo + seg_len, x_end + 1), dtype=np.uint64)
@@ -303,14 +313,17 @@ def _collect_martingale(
     return values, changes
 
 
-def engine_source_for(model: ModelSpec, master_seed: int):
-    if model.kind == "rmf":
-        return RmfWordSource(master_seed=master_seed)
-    if model.kind == "iid_rademacher":
-        return IidWordSource(master_seed=master_seed)
-    if model.kind == "harmonic_rademacher":
-        return HarmonicWordSource(master_seed=master_seed)
-    return None
+def _walk_run(model, master_seed, x_end, marks, census, first_change, terms, samples):
+    """(values, changes) of one run of sorted, validated samples, walked in this process."""
+    if model.kind == "sidon_cosine":
+        return _collect_sidon(terms, marks, samples, master_seed, census)
+    if model.kind == "bounded_martingale":
+        return _collect_martingale(model, x_end, marks, samples, master_seed, census)
+    sources = {"rmf": RmfWordSource, "iid_rademacher": IidWordSource,
+               "harmonic_rademacher": HarmonicWordSource}
+    res = run_walks(sources[model.kind](master_seed), x_end, marks, samples,
+                    census=census, first_change=first_change)
+    return res.values, res.changes
 
 
 def collect_walks(
@@ -327,36 +340,40 @@ def collect_walks(
 ) -> WalkResult:
     """Uniform multi-sample collection across all model kinds.
 
-    The rmf, iid and harmonic walks go through :func:`run_walks`, which
-    splits sample blocks over ``workers`` processes; ``first_change`` stops
-    each of their lanes at its first sign change after ``marks[0]``.  The
-    Sidon and martingale walks ignore both: they run in this process and
+    The one place where samples are split between processes.  The sorted
+    samples are cut into at most ``workers`` (at least 1, else
+    ``ParameterError``) contiguous runs of whole 64-sample blocks; each run
+    is walked in its own process by the model's one-process walker
+    (:func:`run_walks` for rmf, iid and harmonic, the Sidon and martingale
+    collectors otherwise), and the runs are concatenated in sample order.
+    A sample's row depends only on (model, seed, sample, marks), so the
+    output is bit-identical for every worker count.  ``first_change``
+    stops each rmf, iid or harmonic lane at its first sign change after
+    ``marks[0]`` (see :func:`run_walks`); the Sidon and martingale walks
     walk every lane to ``x_end``.
     """
-    source = engine_source_for(model, master_seed)
-    if source is not None:
-        return run_walks(
-            source,
-            x_end,
-            marks,
-            sample_indices,
-            census=census,
-            workers=workers,
-            budget=budget,
-            first_change=first_change,
-        )
-    x_end, marks_arr, samples = walk_inputs(x_end, marks, sample_indices, budget)
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    x_end, marks, samples = walk_inputs(x_end, marks, sample_indices, budget)
+    terms = None
     if model.kind == "sidon_cosine":
         if x_end > MIAN_CHOWLA_MAX:
             raise ParameterError(
                 f"sidon walk limited to {MIAN_CHOWLA_MAX} terms, got x={x_end}"
             )
-        values, changes = _collect_sidon(x_end, marks_arr, samples, master_seed, census)
+        # built once here: a worker rebuilding mian_chowla(1000) pays ~4 s
+        terms = np.asarray(mian_chowla(x_end).elements, dtype=np.float64)
+    walk = partial(_walk_run, model, master_seed, x_end, marks, census, first_change, terms)
+    starts = block_starts(samples)
+    cuts = [starts[c[0]] for c in np.array_split(np.arange(starts.size), workers)[1:] if c.size]
+    if not cuts:
+        values, changes = walk(samples)
     else:
-        values, changes = _collect_martingale(
-            model, x_end, marks_arr, samples, master_seed, census
-        )
-    return WalkResult(marks_arr, values, changes)
+        with ProcessPoolExecutor(max_workers=len(cuts) + 1) as pool:
+            parts = list(pool.map(walk, np.split(samples, cuts)))
+        values = np.concatenate([v for v, _ in parts])
+        changes = np.concatenate([c for _, c in parts]) if census else None
+    return WalkResult(marks, values, changes)
 
 
 def sample_path(

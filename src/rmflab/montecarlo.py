@@ -163,6 +163,10 @@ def bootstrap_estimate(
     rng = _boot_rng(master_seed, purpose)
     stats = np.empty(n_boot)
     chunk = max(1, int(2e6) // values.size)
+    if values.ndim > 1:
+        # _pearson's column copies, centred copies and product come to about
+        # 4 blocks; a quarter of the chunk keeps them within the 1-D path's bytes
+        chunk = max(1, chunk // 4)
     for done in range(0, n_boot, chunk):
         take = min(chunk, n_boot - done)
         # idx stays bound past the gather: freeing it inside the gather made

@@ -20,7 +20,7 @@ from .engine import PartialSumTrace, run_walks
 from .errors import ParameterError
 from .sieve import PrimeTable, primes_up_to, segment_radical_data
 
-HOOKS = ("hash", "plus", "minus")
+HOOKS = ("hash", "minus")
 _ALL_ONES = (1 << 64) - 1
 
 
@@ -28,9 +28,8 @@ _ALL_ONES = (1 << 64) - 1
 class SignOracle:
     """Deterministic prime-sign map for one sample of f.
 
-    ``hook`` is a test aid: "plus" forces every sign to +1 (f becomes the
-    squarefree indicator), "minus" forces -1 (f becomes the Mobius
-    function); "hash" is the real Rademacher draw.
+    ``hook`` "minus" forces every sign to -1, so f becomes the Mobius
+    function (the Mertens cross-check); "hash" is the real Rademacher draw.
     """
 
     master_seed: int
@@ -77,8 +76,6 @@ class RmfWordSource:
         """Sign-parity words of one block, exact on every squarefree index."""
         data = ctx["data"]
         sqf = data.squarefree
-        if self.hook == "plus":
-            return np.zeros(sqf.size, dtype=np.uint64), sqf
         if self.hook == "minus":
             words = np.where(data.omega_parity, np.uint64(_ALL_ONES), np.uint64(0))
             return words, sqf
@@ -103,7 +100,11 @@ def rmf_trace(
     budget: int | None = None,
     workers: int = 1,
 ) -> PartialSumTrace:
-    """Stream M(u) for u <= x: census of sign changes plus checkpoint values."""
+    """Stream M(u) for u <= x: census of sign changes plus checkpoint values.
+
+    One sample is one block, walked in this process; ``workers`` is
+    accepted and unused.
+    """
     reqs = sorted(set(int(c) for c in (checkpoints or [])))
     source = RmfWordSource(master_seed=oracle.master_seed, hook=oracle.hook)
     res = run_walks(
@@ -112,7 +113,6 @@ def rmf_trace(
         marks=[*reqs, int(x)],
         sample_indices=[oracle.sample_index],
         census=True,
-        workers=workers,
         budget=budget,
     )
     return PartialSumTrace.of_walk(res, reqs)

@@ -5,7 +5,9 @@ division, independently of ``rmflab.sieve``'s radical sieve, and
 ``f_value`` evaluates one sample of f at one integer from such a record
 through the scalar sign word ``sign_word``, built on ``rmflab.signs.mix64``.
 ``harmonic_walks`` sums the r_n / sqrt(n) walks in one sequential pass each.
-The tests hold the package's vectorized paths against them.
+``AllPlusOracle`` and ``AllPlusWordSource`` set f(p) = +1 on every prime,
+so f is the squarefree indicator and M(u) = Q(u).  The tests hold the
+package's vectorized paths against them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from rmflab import signs
 from rmflab.errors import ParameterError
-from rmflab.rmf import SignOracle
+from rmflab.rmf import RmfWordSource, SignOracle
 from rmflab.sieve import PrimeTable
 
 
@@ -132,6 +134,24 @@ def factor_segment(lo: int, hi: int, primes: PrimeTable) -> FactorSegment:
         factor_indptr=indptr,
         factor_values=values,
     )
+
+
+@dataclass(frozen=True)
+class AllPlusOracle:
+    """The sign map f(p) = +1 on every prime, read by ``sign_of_prime``."""
+
+    master_seed: int
+    sample_index: int = 0
+    hook = "plus"
+
+
+@dataclass(frozen=True)
+class AllPlusWordSource(RmfWordSource):
+    """Engine source of the all-plus f: every lane steps +1 on each squarefree n."""
+
+    def block_words(self, ctx, block: int):
+        sqf = ctx["data"].squarefree
+        return np.zeros(sqf.size, dtype=np.uint64), sqf
 
 
 def sign_word(key: int, value: int) -> int:

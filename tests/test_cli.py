@@ -2,12 +2,32 @@ import csv
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rmflab import sieve
+from rmflab import models, sieve
 from rmflab.analysis import LambdaParams, lambda_asymptotic, lambda_exact
 from rmflab.cli import CSV_HEADER, run
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def zero_walk(model, master_seed, x_end, marks, census, first_change, terms, samples):
+    """A run's walk after validation, stubbed: every sample stays at M = 0."""
+    zeros = np.zeros((samples.size, marks.size), dtype=np.int64)
+    return zeros, zeros.copy() if census else None
+
+
+def readme_examples():
+    """The ``rmflab`` command lines of the README's CLI example block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("rmflab ")]
 
 
 def read_csv(path):
@@ -164,6 +184,17 @@ class TestMertensCommand:
         err = capsys.readouterr().err
         assert "rmflab: error: resource: out of memory:" in err
         assert "Traceback" not in err
+
+
+def test_readme_examples_exit_0(monkeypatch, tmp_path):
+    # every example passes validation and the step budget as written; the
+    # walks themselves are stubbed, and the gate (selftest) is left out
+    monkeypatch.setattr(models, "_walk_run", zero_walk, raising=False)
+    monkeypatch.chdir(tmp_path)
+    examples = [argv for argv in readme_examples() if argv[0] != "selftest"]
+    assert len(examples) == 10
+    codes = {shlex.join(argv): run(argv) for argv in examples}
+    assert {line: code for line, code in codes.items() if code} == {}
 
 
 class TestExport:

@@ -4,7 +4,7 @@ import pytest
 from rmflab import engine
 from rmflab.engine import run_walks
 from rmflab.errors import ParameterError, ResourceError
-from rmflab.models import HarmonicWordSource, IidWordSource
+from rmflab.models import IidWordSource, ModelSpec, collect_walks
 from rmflab.rmf import RmfWordSource
 
 from oracle import harmonic_walks
@@ -25,7 +25,7 @@ def test_marks_validation():
 @pytest.mark.parametrize("workers", [0, -3])
 def test_nonpositive_workers_rejected(workers):
     with pytest.raises(ParameterError):
-        run_walks(IidWordSource(master_seed=1), 10, [5], [0], workers=workers)
+        collect_walks(ModelSpec("iid_rademacher"), 10, [5], [0], 1, workers=workers)
 
 
 def test_budget_guardrail():
@@ -58,9 +58,9 @@ def test_cumulative_changes_difference_over_windows():
 
 
 def test_worker_count_invariance():
-    src = RmfWordSource(master_seed=11)
-    a = run_walks(src, 5000, [5000], range(130), census=True, workers=1)
-    b = run_walks(src, 5000, [5000], range(130), census=True, workers=2)
+    rmf = ModelSpec("rmf")
+    a = collect_walks(rmf, 5000, [5000], range(130), 11, census=True, workers=1)
+    b = collect_walks(rmf, 5000, [5000], range(130), 11, census=True, workers=2)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.changes, b.changes)
 
@@ -93,8 +93,8 @@ def test_float_walk_is_the_sequential_sum(monkeypatch, setting, harmonic_oracle_
         monkeypatch.setattr(engine, "MIN_SEGMENT", 777)
     if setting == "piece-64":
         monkeypatch.setattr(engine, "PIECE", 64)
-    res = run_walks(HarmonicWordSource(master_seed=HARMONIC_SEED), HARMONIC_END, HARMONIC_MARKS,
-                    range(70), workers=2 if setting == "workers-2" else 1)
+    res = collect_walks(ModelSpec("harmonic_rademacher"), HARMONIC_END, HARMONIC_MARKS,
+                        range(70), HARMONIC_SEED, workers=2 if setting == "workers-2" else 1)
     assert np.array_equal(res.values, harmonic_oracle_values)
 
 
@@ -119,10 +119,10 @@ def test_sample_subsets_see_identical_streams():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_first_change_keeps_window_indicators(monkeypatch, workers):
     monkeypatch.setattr(engine, "MIN_SEGMENT", 500)
-    src = RmfWordSource(master_seed=29)
+    rmf = ModelSpec("rmf")
     marks = [300, 700, 1500, 4000, 9000]
-    full = run_walks(src, 9000, marks, range(140))
-    fast = run_walks(src, 9000, marks, range(140), workers=workers, first_change=True)
+    full = collect_walks(rmf, 9000, marks, range(140), 29)
+    fast = collect_walks(rmf, 9000, marks, range(140), 29, workers=workers, first_change=True)
     assert np.array_equal(fast.changes[:, 0], full.changes[:, 0])
     assert np.array_equal(fast.values[:, 0], full.values[:, 0])
     for j in range(1, len(marks)):
@@ -151,14 +151,14 @@ def dense_rmf_walk():
 @pytest.mark.parametrize("piece", [64, engine.PIECE])
 def test_first_change_output_independent_of_segments_and_workers(monkeypatch, piece):
     monkeypatch.setattr(engine, "PIECE", piece)
-    src = RmfWordSource(master_seed=29)
+    rmf = ModelSpec("rmf")
     runs = []
     for seg in (500, 777, 9000):
-        # the segment length is fixed in this process, so workers see it too
+        # the pool forks after the patch, so workers see the segment length too
         monkeypatch.setattr(engine, "MIN_SEGMENT", seg)
         for workers in (1, 2):
-            runs.append(run_walks(src, 3000, FIRST_CHANGE_MARKS, range(140),
-                                  workers=workers, first_change=True))
+            runs.append(collect_walks(rmf, 3000, FIRST_CHANGE_MARKS, range(140), 29,
+                                      workers=workers, first_change=True))
     for res in runs[1:]:
         assert np.array_equal(res.values, runs[0].values)
         assert np.array_equal(res.changes, runs[0].changes)

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from rmflab import engine, models, signs
 from rmflab.analysis import count_sign_changes
 from rmflab.errors import ParameterError
 from rmflab.models import (
+    KINDS,
     MIAN_CHOWLA_MAX,
     SALT_MARTINGALE,
     ModelSpec,
@@ -129,6 +131,28 @@ class TestSamplePath:
     def test_checkpoint_validation(self):
         with pytest.raises(ParameterError):
             sample_path(ModelSpec("iid_rademacher"), 10, 1, checkpoints=[20])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_splits_samples_between_workers(kind, monkeypatch):
+    # 200 samples are 4 blocks: 2 and 3 workers each get contiguous runs
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(models, "ProcessPoolExecutor", RecordingPool)
+    runs = [
+        collect_walks(ModelSpec(kind), 300, [7, 150, 300], range(3, 203), 41, workers=w)
+        for w in (1, 2, 3)
+    ]
+    assert pools == [2, 3]
+    for res in runs[1:]:
+        assert res.values.dtype == runs[0].values.dtype
+        assert np.array_equal(res.values, runs[0].values)
+        assert np.array_equal(res.changes, runs[0].changes)
 
 
 class TestMartingaleWalk:

@@ -27,6 +27,8 @@ from rmflab.montecarlo import (
 from rmflab.rmf import RmfWordSource, grid_positions
 from rmflab.sieve import squarefree_count
 
+from oracle import AllPlusWordSource
+
 
 def plan(seed=101, samples=500, kind="rmf", **kw):
     return ExperimentPlan(master_seed=seed, samples=samples, model=ModelSpec(kind), **kw)
@@ -127,6 +129,23 @@ class TestBootstrap:
             b = looped_bootstrap(vals, 5, "rows", 300, lambda blk: float(blk.mean()), a.point)
             assert (a.ci_lo, a.ci_hi, a.se) == (b.ci_lo, b.ci_hi, b.se)
 
+    @pytest.mark.parametrize("shape", [(2000,), (2000, 2)])
+    def test_column_blocks_take_a_quarter_of_the_1d_bound(self, shape):
+        # a 2-column statistic (_pearson) makes about 4 block-sized copies, so
+        # its blocks hold a quarter of the 2e6 values a 1-D block may hold
+        sizes = []
+
+        def first_column_mean(block):
+            sizes.append(block.size)
+            return block.reshape(*block.shape[:2], -1)[..., 0].mean(axis=-1)
+
+        vals = np.random.default_rng(3).normal(size=shape)
+        bootstrap_estimate(vals, 5, "sizes", 1000, statistic=first_column_mean)
+        bound = int(2e6) if len(shape) == 1 else int(2e6) // 4
+        assert sizes[0] == vals.size  # the point estimate's block
+        assert max(sizes[1:]) <= bound
+        assert sum(sizes[1:]) == 1000 * vals.size
+
 
 class TestMoments:
     def test_q0_exactly_one(self):
@@ -180,7 +199,7 @@ class TestSignChangeProb:
                 estimate_sign_change_prob(plan(samples=20), 100.0, N)
 
     def test_all_plus_walk_never_changes(self):
-        res = run_walks(RmfWordSource(master_seed=1, hook="plus"), 1000, [100, 1000], range(8))
+        res = run_walks(AllPlusWordSource(master_seed=1), 1000, [100, 1000], range(8))
         assert np.all(res.changes == 0)
 
     def test_prob_positive_at_moderate_x(self):

@@ -27,3 +27,9 @@ def test_every_exported_name_has_a_reader_outside_tests():
         if not any(re.search(rf"\b{word}\b", definition.sub("", t)) for t in texts):
             unread.append(name)
     assert sorted(unread) == sorted(UNREAD_EXEMPT)
+
+
+def test_one_module_splits_work_between_processes():
+    src = ROOT / "src" / "rmflab"
+    pools = [p.name for p in sorted(src.glob("*.py")) if "ProcessPoolExecutor" in p.read_text()]
+    assert pools == ["models.py"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rmflab import models, signs
+from rmflab.engine import PartialSumTrace, run_walks
 from rmflab.errors import ParameterError, ResourceError
 from rmflab.montecarlo import ExperimentPlan, _checkpoint_matrix, bootstrap_estimate
 from rmflab.models import ModelSpec, collect_walks
@@ -12,6 +13,8 @@ from rmflab.sieve import primes_up_to, squarefree_count
 
 from oracle import (
     EDGE_SEGMENTS,
+    AllPlusOracle,
+    AllPlusWordSource,
     FactorRecord,
     f_value,
     factor_segment,
@@ -43,7 +46,7 @@ class TestSignOracle:
         assert sign_of_prime(o, 97) == sign_of_prime(o, 97)
 
     def test_hooks(self):
-        plus = SignOracle(1, hook="plus")
+        plus = AllPlusOracle(1)
         minus = SignOracle(1, hook="minus")
         for p in (2, 3, 5, 101):
             assert sign_of_prime(plus, p) == 1
@@ -109,7 +112,7 @@ def test_block_words_match_oracle_on_squarefrees(group):
 
 class TestTrace:
     def test_all_plus_counts_squarefree(self):
-        tr = rmf_trace(SignOracle(1, hook="plus"), 10)
+        tr = PartialSumTrace.of_walk(run_walks(AllPlusWordSource(1), 10, [10], [0]), [])
         assert tr.final_value == squarefree_count(10) == 7
         assert tr.sign_change_count == 0
 
@@ -144,8 +147,7 @@ class TestCheckpointGrid:
     """The normalized walk Y_n = M(floor(e^n x))/sqrt(e^n x) of the estimators."""
 
     def test_all_plus_matches_q(self, monkeypatch):
-        plus = lambda master_seed: RmfWordSource(master_seed=master_seed, hook="plus")
-        monkeypatch.setattr(models, "RmfWordSource", plus)
+        monkeypatch.setattr(models, "RmfWordSource", AllPlusWordSource)
         y = _checkpoint_matrix(ExperimentPlan(master_seed=1, samples=3), 50.0, 3)
         for n in range(1, 4):
             u = math.floor(math.exp(n) * 50.0)
