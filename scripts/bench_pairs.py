@@ -19,6 +19,8 @@ Usage:
 A claim ``WORKLOAD:METRIC:GAIN`` is met when the change wins at least 9
 of the 10 pairs, its median is better than the parent's by more than the
 parent's interquartile range, and by at least the fraction GAIN.
+
+The report also records each checkout's line count of ``src/rmflab``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ def run_once(checkout: Path, workload: str, seconds: float) -> dict:
             f"{checkout}: {workload} run exited with {done.returncode}: {done.stderr.strip()}"
         )
     return json.loads(lines[-1])
+
+
+def source_lines(checkout: Path) -> int:
+    """Lines in the checkout's ``src/rmflab/*.py``."""
+    return sum(len(path.read_text().splitlines())
+               for path in (checkout / "src" / "rmflab").glob("*.py"))
 
 
 def summary(runs: list[float]) -> dict:
@@ -138,8 +146,10 @@ def main(argv=None) -> int:
         "the run's own median over its passes. wins = pairs where the change is better; "
         "ratio = change median / parent median."
     )
+    lines = {side: source_lines(path) for side, path in sides.items()}
     report = {
         "description": f"{args.description} {description}".strip(),
+        "src_rmflab_lines": {**lines, "delta": lines["change"] - lines["parent"]},
         "workloads": report_workloads,
     }
     if args.claim:

@@ -4,7 +4,7 @@
 Runs the threshold-defining experiments of acceptance criteria 6 and 7 --
 the same definitions the gate uses -- at PILOT_SEED and prints a block of
 constants to paste into pinned.py.  The sign-change probability pass is
-the heavy one (the x = 1e5 interval walks to ~3e8): about two minutes on
+the heavy one (the x = 1e5 interval walks to ~3e8): about a minute on
 two cores.
 
 Usage: python scripts/run_pilot.py [--workers K] [--only signprob|avgv|mertens]

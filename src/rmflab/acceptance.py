@@ -309,13 +309,19 @@ def _mertens_values(x: int) -> list[int]:
     return list(np.cumsum(mu[1:].astype(np.int64)))
 
 
+# The child's own peak RSS is VmHWM: ru_maxrss would also carry the
+# high-water mark of the process that started it across fork and exec.
 _PERF_CHILD = r"""
 import json, resource, time
 from rmflab.rmf import SignOracle, rmf_trace
-t0 = time.time()
+t0 = time.perf_counter()
 tr = rmf_trace(SignOracle(master_seed={seed}), 10**8, budget=None)
-elapsed = time.time() - t0
-rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+elapsed = time.perf_counter() - t0
+try:
+    with open("/proc/self/status") as f:
+        rss_mb = next(int(l.split()[1]) for l in f if l.startswith("VmHWM:")) / 1024.0
+except (OSError, StopIteration):
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps({{"elapsed": elapsed, "rss_mb": rss_mb,
                    "final": tr.final_value, "changes": tr.sign_change_count}}))
 """

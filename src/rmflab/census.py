@@ -15,6 +15,12 @@ max below) cannot contain a change beyond the single possible flip against
 the carry, so the expensive sign-compress pass only runs on blocks that
 straddle the origin.  For a walk at height ~sqrt(u) almost every block is
 skipped.
+
+:func:`walk_steps` goes one step further on +-1/0 walks, before any
+partial sum exists: M moves by at most 1 per step, so a run of ``_CHUNK``
+steps that starts at |M| >= ``_CHUNK`` keeps the sign it starts with and
+cannot complete a change.  Only the chunks that start nearer to zero are
+summed step by step and counted.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 _BLOCK = 4096
+_CHUNK = 256  # steps per chunk of walk_steps' sparse census
 
 
 def _count_dense(values: np.ndarray, carry_sign: int) -> tuple[int, int]:
@@ -129,3 +136,56 @@ def change_positions_chunk(
     if carry_sign != 0 and nz[0] != carry_sign:
         out.insert(0, int(idx[0]) + offset)
     return out, int(nz[-1])
+
+
+def walk_steps(
+    steps: np.ndarray,
+    start: int,
+    running: int,
+    marks: np.ndarray,
+    carry: int,
+    acc: int,
+    values_row: np.ndarray,
+    changes_row: np.ndarray | None,
+    out: np.ndarray,
+) -> tuple[int, int, int]:
+    """Walk one piece of int8 +-1/0 steps and read it at its marks.
+
+    ``steps[i]`` is the step at integer start + i and ``running`` is
+    M(start - 1).  Marks, counts and ``carry``/``acc`` behave as in
+    :func:`count_to_marks` on ``cumsum(steps) + running``; the returned
+    triple is ``(carry, acc, running)`` after the piece.
+
+    A piece without a mark needs M only where it can change sign.  On a
+    value-only walk (``changes_row`` None) that is nowhere, so the piece is
+    summed.  On a census walk it is summed in chunks of ``_CHUNK`` steps;
+    a chunk starting at |M| >= ``_CHUNK`` keeps the sign of its start,
+    which is already the carry, so it is dropped, and the other chunks are
+    cumsummed and counted in order as one run.  A piece with a mark, a
+    partial chunk or no chunk to drop is cumsummed whole into ``out``
+    (at least ``steps.size`` long; its dtype holds every |M|).
+    """
+    n = steps.size
+    j = int(np.searchsorted(marks, start))
+    if j == marks.size or marks[j] >= start + n:
+        if changes_row is None:
+            return carry, acc, running + int(steps.sum())
+        if n % _CHUNK == 0:
+            chunks = steps.reshape(-1, _CHUNK)
+            sums = chunks.sum(axis=1, dtype=np.int16)
+            ends = np.cumsum(sums, dtype=np.int64)
+            ends += running
+            before = ends - sums
+            near = np.abs(before) < _CHUNK
+            if not near.all():
+                if near.any():
+                    rows = chunks[near].cumsum(axis=1, dtype=np.int16)
+                    rows += before[near, None].astype(np.int16)
+                    delta, carry = count_changes_chunk(rows.ravel(), carry)
+                    acc += delta
+                return carry, acc, int(ends[-1])
+    m = out[:n]
+    steps.cumsum(dtype=m.dtype, out=m)
+    m += m.dtype.type(running)
+    carry, acc = count_to_marks(m, start, marks, carry, acc, values_row, changes_row)
+    return carry, acc, int(m[-1])

@@ -21,13 +21,16 @@ segment [lo, hi) of integers:
 
 Every lane walks each segment in pieces of ``PIECE`` integers through
 buffers allocated once per call.  An integer step is decoded from its
-lane bit; a float step is the weight with the lane bit moved into its
-sign bit, which negates it exactly.  A float piece carries the running
-value into its first step before its ``np.cumsum``, so a float walk is the
-plain sequential sum of its steps.  Outputs are therefore reproducible
-bit-for-bit for any segment or piece length, and no cross-sample float
-reduction happens here.  The engine walks in the calling process;
-:func:`models.collect_walks` splits samples between processes.
+lane bit into an int8 +-1/0 and the piece goes to
+:func:`census.walk_steps`, which takes partial sums only where the piece
+has a mark or can reach zero.  A float step is the weight with the lane
+bit moved into its sign bit, which negates it exactly.  A float piece
+carries the running value into its first step before its ``np.cumsum``,
+so a float walk is the plain sequential sum of its steps.  Outputs are
+therefore reproducible bit-for-bit for any segment or piece length, and
+no cross-sample float reduction happens here.  The engine walks in the
+calling process; :func:`models.collect_walks` splits samples between
+processes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .census import change_positions_chunk, count_to_marks
+from .census import change_positions_chunk, count_to_marks, walk_steps
 from .errors import ParameterError, ResourceError
 
 DEFAULT_BUDGET = 10**9
@@ -221,9 +224,7 @@ def run_walks(
                 row += len(lanes)
                 continue
             words, active = source.block_words(ctx, block)
-            active_i8 = None
-            if active is not None:
-                active_i8 = active.astype(np.int8)
+            active_i8 = None if active is None else active.view(np.int8)
             for lane in lanes:
                 carry = int(carry_sign[row])
                 acc = int(change_acc[row])
@@ -235,6 +236,7 @@ def run_walks(
                     span = slice(a - lo, b - lo)
                     t = scratch[: b - a]
                     m = walk[: b - a]
+                    piece_carry, piece_start = carry, running[row]
                     if w is None:
                         np.right_shift(words[span], lane, out=t)
                         t &= one
@@ -244,8 +246,9 @@ def run_walks(
                         bit += np.int8(1)
                         if active_i8 is not None:
                             bit *= active_i8[span]
-                        bit.cumsum(dtype=m.dtype, out=m)
-                        m += m.dtype.type(running[row])
+                        carry, acc, running[row] = walk_steps(
+                            bit, a, piece_start, marks, carry, acc, values[row], changes_row, walk
+                        )
                     else:
                         # flipping a float's sign bit negates it exactly, so
                         # each step is exactly +-w; carrying M in through the
@@ -254,14 +257,20 @@ def run_walks(
                         t &= SIGN_BIT
                         t ^= w_bits[span]
                         step = t.view(np.float64)
-                        step[0] += running[row]
+                        step[0] += piece_start
                         step.cumsum(out=m)
-                    piece_carry = carry
-                    carry, acc = count_to_marks(m, a, marks, carry, acc, values[row], changes_row)
-                    running[row] = m[-1]
+                        carry, acc = count_to_marks(
+                            m, a, marks, carry, acc, values[row], changes_row
+                        )
+                        running[row] = m[-1]
                     if first_change and b > marks[0] and acc > changes[row, 0]:
                         # the first change after marks[0] completes in this
-                        # piece; later marks report the walk as it stood there
+                        # piece; later marks report the walk as it stood
+                        # there.  walk_steps may have skipped the piece's
+                        # partial sums, so they are taken again here.
+                        if w is None:
+                            bit.cumsum(dtype=m.dtype, out=m)
+                            m += m.dtype.type(piece_start)
                         at, _ = change_positions_chunk(m, piece_carry, a)
                         u = next(p for p in at if p > marks[0])
                         j = int(np.searchsorted(marks, u))

@@ -23,7 +23,7 @@ from math import isqrt
 
 import numpy as np
 
-from .census import count_to_marks
+from .census import walk_steps
 from .engine import (
     INT32_CEILING,
     PartialSumTrace,
@@ -130,8 +130,9 @@ class SegmentData:
       factors, meaningful on squarefree entries only; ``big`` and
       ``big_prime`` are None;
     - the hashing walk gets ``big``, the flat indices (n - lo) of the
-      squarefree n that have a big prime factor, and ``big_prime`` (int64)
-      that factor; ``omega_parity`` is None.
+      squarefree n that have a big prime factor, and ``big_prime`` that
+      factor, int32 when hi <= 2^31 and int64 above (the dtype of the
+      radical product); ``omega_parity`` is None.
 
     ``squarefree`` is always filled.  The small primes split in two.  The
     first ``wheel`` of them are wheel primes (2..13), folded in from a tiled
@@ -210,7 +211,9 @@ def segment_radical_data(
         parity = negative ^ has_big
     else:
         big = np.flatnonzero(has_big & sqf)
-        big_prime = (big + lo) // rad[big]
+        big_prime = big.astype(dtype)  # n < hi fits the product's dtype
+        big_prime += lo
+        big_prime //= rad[big]
         parity = None
     return SegmentData(
         lo=lo,
@@ -241,7 +244,7 @@ def mertens_trace(
     values = np.zeros((1, marks.size), dtype=np.int64)
     changes = np.zeros((1, marks.size), dtype=np.int64)
     # |M(u)| <= u: int32 partial sums are exact below the ceiling
-    cum_dtype = np.int32 if x < INT32_CEILING else np.int64
+    walk = np.empty(min(seg, x), dtype=np.int32 if x < INT32_CEILING else np.int64)
     total = 0
     carry = 0
     acc = 0
@@ -252,10 +255,9 @@ def mertens_trace(
         mu = data.omega_parity.view(np.int8) * np.int8(-2)
         mu += 1
         mu *= data.squarefree
-        m = np.cumsum(mu, dtype=cum_dtype)
-        m += total
-        carry, acc = count_to_marks(m, lo, marks, carry, acc, values[0], changes[0])
-        total = int(m[-1])
+        carry, acc, total = walk_steps(
+            mu, lo, total, marks, carry, acc, values[0], changes[0], walk
+        )
         lo = hi
     res = WalkResult(marks, values, changes)
     return PartialSumTrace.of_walk(res, reqs)

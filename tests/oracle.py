@@ -186,6 +186,20 @@ def harmonic_walks(master_seed: int, samples: int, x_end: int) -> np.ndarray:
     return out
 
 
+def mertens_walk(x: int) -> np.ndarray:
+    """M(u) = sum_{n<=u} mu(n) for u in [1, x], with mu from ``factor_segment``."""
+    seg = factor_segment(1, x + 1, PrimeTable(isqrt(x), _primes_up_to(isqrt(x))))
+    omega = np.diff(seg.factor_indptr) + (seg.cofactor > 1)
+    mu = np.where(seg.squarefree, 1 - 2 * (omega % 2), 0)
+    return np.cumsum(mu)
+
+
+def _primes_up_to(n: int) -> np.ndarray:
+    """Primes <= n by trial division (independent of ``rmflab.sieve``)."""
+    return np.array([p for p in range(2, n + 1) if all(p % q for q in range(2, isqrt(p) + 1))],
+                    dtype=np.int64)
+
+
 def _debug_check_prime(p: int) -> None:
     if p < 2:
         raise ParameterError(f"{p} is not prime")

@@ -2,7 +2,7 @@
 
 These are the heavy end-to-end checks (the local sign-change probability
 criterion walks up to ~3e8 integers for 1000 samples); expect the module to
-take about three minutes on two cores, two of them in that criterion.
+take about a minute and a half on two cores, most of it in that criterion.
 ``rmflab selftest --seed ...`` runs the same functions.
 """
 

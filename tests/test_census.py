@@ -1,12 +1,19 @@
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmflab import census
 from rmflab.census import (
     change_positions_chunk,
     count_changes_chunk,
     count_to_marks,
+    walk_steps,
 )
+
+C = census._CHUNK
 
 
 def naive_count(values, carry=0):
@@ -83,3 +90,95 @@ class TestCountToMarks:
         assert values.tolist() == m[marks - 1].tolist()
         assert changes.tolist() == [naive_count(m[:mk])[0] for mk in marks]
         assert (acc, carry) == naive_count(m)
+
+
+class TestWalkSteps:
+    """walk_steps against cumsum + count_to_marks on the same piece."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([4, 16, C]),
+        chunks=st.integers(1, 12),
+        tail=st.sampled_from([0, 0, 1, 3]),
+        zero_share=st.sampled_from([0.0, 0.5, 0.95]),
+        drift=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        start_at=st.sampled_from([(0, 0), (1, -1), (-1, 1), (1, 0), (-1, 0), (1, 1),
+                                  (7, 0), (-40, 0)]),
+        carry0=st.sampled_from([-1, 0, 1]),
+        inside=st.lists(st.integers(0, 13 * C), max_size=3),
+        outside=st.booleans(),
+        with_census=st.booleans(),
+    )
+    def test_matches_dense_walk(self, seed, chunk, chunks, tail, zero_share, drift, start_at,
+                                carry0, inside, outside, with_census):
+        rng = np.random.default_rng(seed)
+        n = chunks * chunk + tail
+        up = (1 - zero_share) * (1 + drift) / 2
+        down = (1 - zero_share) * (1 - drift) / 2
+        steps = rng.choice(np.array([1, 0, -1], dtype=np.int8), size=n,
+                           p=[up, zero_share, down])
+        # M(start - 1) at 0, +-(chunk - 1), +-chunk, chunk + 1 or far from zero
+        running = start_at[0] * chunk + start_at[1]
+        start = 1000
+        # the carry before the piece is the sign of a nonzero M(start - 1)
+        carry = int(np.sign(running)) if running else carry0
+        marks = {start + i for i in inside if i < n}
+        if outside:
+            marks |= {start - 3, start + n, start + n + 50}
+        marks = np.array(sorted(marks), dtype=np.int64)
+        m = np.cumsum(steps, dtype=np.int64) + running
+
+        def run(read):
+            values = np.zeros(marks.size, dtype=np.int64)
+            changes = np.zeros(marks.size, dtype=np.int64) if with_census else None
+            got = read(values, changes)
+            return got, values.tolist(), None if changes is None else changes.tolist()
+
+        want = run(lambda v, c: (*count_to_marks(m, start, marks, carry, 5, v, c), int(m[-1])))
+        out = np.empty(n, dtype=np.int32)
+        with mock.patch.object(census, "_CHUNK", chunk):
+            got = run(lambda v, c: walk_steps(steps, start, running, marks, carry, 5, v, c, out))
+        assert got == want
+        assert all(isinstance(x, int) for x in got[0])
+
+    @pytest.mark.parametrize("running, carry, runs", [
+        (C - 1, 1, [(-1, C), (1, 2 * C)]),  # a change on a chunk's last step
+        (C, 1, [(-1, C), (-1, C), (1, C)]),  # zero on a chunk's last step
+        (0, -1, [(1, 3 * C)]),  # only the first chunk can change sign
+        (0, 1, [(0, C), (-1, C), (0, C)]),  # an all-zero chunk at the origin
+        (1 - C, -1, [(1, C), (-1, 1), (1, 2 * C - 1)]),
+    ])
+    def test_chunks_at_the_edge_of_zero(self, running, carry, runs):
+        steps = np.concatenate([np.full(k, v, dtype=np.int8) for v, k in runs])
+        m = np.cumsum(steps, dtype=np.int64) + running
+        marks = np.array([10**6], dtype=np.int64)
+        values = np.zeros(1, dtype=np.int64)
+        changes = np.zeros(1, dtype=np.int64)
+        out = np.empty(steps.size, dtype=np.int32)
+        want = (*count_to_marks(m, 1, marks, carry, 0, values, changes), int(m[-1]))
+        assert walk_steps(steps, 1, running, marks, carry, 0, values, changes, out) == want
+
+    def test_far_chunks_are_not_scanned(self, monkeypatch):
+        scanned = []
+
+        def spy(values, carry_sign):
+            scanned.append(values.size)
+            return count_changes_chunk(values, carry_sign)
+
+        monkeypatch.setattr(census, "count_changes_chunk", spy)
+        steps = np.ones(8 * C, dtype=np.int8)
+        steps[3 * C :] = -1  # climbs from 2 to 3C + 2, then falls to 2 - 2C
+        marks = np.array([10**6], dtype=np.int64)
+        values = np.zeros(1, dtype=np.int64)
+        changes = np.zeros(1, dtype=np.int64)
+        out = np.empty(steps.size, dtype=np.int32)
+        got = walk_steps(steps, 1, 2, marks, 1, 0, values, changes, out)
+        assert got == (-1, 1, 2 - 2 * C)
+        # only chunks 0, 6 and 7 start at |M| < C
+        assert scanned == [3 * C]
+        scanned.clear()
+        # a value-only piece is summed, never scanned
+        assert walk_steps(steps, 1, 2, marks, 1, 0, values, None, out) == (1, 0, 2 - 2 * C)
+        assert scanned == []
+        assert values.tolist() == [0] and changes.tolist() == [0]

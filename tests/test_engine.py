@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmflab import engine
+from rmflab import census, engine
 from rmflab.engine import run_walks
 from rmflab.errors import ParameterError, ResourceError
 from rmflab.models import IidWordSource, ModelSpec, collect_walks
@@ -168,6 +168,20 @@ def test_first_change_output_independent_of_segments_and_workers(monkeypatch, pi
 @pytest.mark.parametrize("on_change", [False, True])
 def test_stopped_lane_reports_walk_at_its_first_change(monkeypatch, piece, on_change,
                                                        dense_rmf_walk):
+    check_stopped_lanes(monkeypatch, piece, on_change, dense_rmf_walk)
+
+
+@pytest.mark.parametrize("piece", [64, engine.PIECE])
+@pytest.mark.parametrize("on_change", [False, True])
+def test_sparse_stopped_lane_reports_walk_at_its_first_change(monkeypatch, piece, on_change,
+                                                              dense_rmf_walk):
+    # chunks of 8 steps: the piece where a lane stops may have been skipped
+    # chunk by chunk before its partial sums are taken again
+    monkeypatch.setattr(census, "_CHUNK", 8)
+    check_stopped_lanes(monkeypatch, piece, on_change, dense_rmf_walk)
+
+
+def check_stopped_lanes(monkeypatch, piece, on_change, dense_rmf_walk):
     monkeypatch.setattr(engine, "PIECE", piece)
     monkeypatch.setattr(engine, "MIN_SEGMENT", 777)
     marks = list(FIRST_CHANGE_MARKS)
@@ -193,3 +207,41 @@ def test_stopped_lane_reports_walk_at_its_first_change(monkeypatch, piece, on_ch
     # some lanes stop between marks, some never stop
     assert any(u is not None and u not in marks and u < marks[-1] for u in stops)
     assert any(u is None for u in stops)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("piece, seg", [(64, 777), (engine.PIECE, 512)])
+def test_sparse_census_matches_dense_walk(monkeypatch, workers, piece, seg, dense_rmf_walk):
+    # chunks of 8 steps, so that most chunks of these short walks start 8
+    # or more from zero and are skipped; pieces of 64 end in a partial one
+    monkeypatch.setattr(engine, "PIECE", piece)
+    monkeypatch.setattr(engine, "MIN_SEGMENT", seg)
+    scanned = []
+
+    def spy(values, carry_sign):
+        scanned.append(values.size)
+        return count(values, carry_sign)
+
+    count = census.count_changes_chunk
+    monkeypatch.setattr(census, "count_changes_chunk", spy)
+    rmf = ModelSpec("rmf")
+    marks = [300, 2600, 3000]  # most pieces hold no mark
+    cols = np.array(marks) - 1
+
+    def walks(chunk, **kw):
+        # the pool forks after the patch, so workers see the chunk length too
+        monkeypatch.setattr(census, "_CHUNK", chunk)
+        return collect_walks(rmf, 3000, marks, range(140), 29, workers=workers, **kw)
+
+    sparse = walks(8)
+    assert np.array_equal(sparse.values, dense_rmf_walk.values[:, cols])
+    assert np.array_equal(sparse.changes, dense_rmf_walk.changes[:, cols])
+    if workers == 1:
+        # a dense walk scans all 140 * 3000 values
+        assert sum(scanned) < 140 * 3000 * 3 // 4
+    # a chunk that divides no piece walks every piece densely
+    fast, dense = walks(8, first_change=True), walks(4099, first_change=True)
+    assert np.array_equal(fast.values, dense.values)
+    assert np.array_equal(fast.changes, dense.changes)
+    value_only = walks(8, census=False)
+    assert np.array_equal(value_only.values, sparse.values)

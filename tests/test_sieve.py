@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
+from rmflab import census, engine
 from rmflab.errors import ParameterError
 from rmflab.sieve import (
     PrimeTable,
@@ -14,7 +15,7 @@ from rmflab.sieve import (
     squarefree_count,
 )
 
-from oracle import EDGE_SEGMENTS, factor_segment, radical_reference
+from oracle import EDGE_SEGMENTS, factor_segment, mertens_walk, radical_reference
 
 
 def brute_squarefree_count(x):
@@ -152,7 +153,7 @@ def test_segment_radical_data_matches_oracle(group):
         assert np.array_equal(plain.squarefree, sqf), (lo, hi)
         assert np.array_equal(plain.big, big), (lo, hi)
         assert np.array_equal(plain.big_prime, big_prime), (lo, hi)
-        assert plain.big_prime.dtype == np.int64
+        assert plain.big_prime.dtype == (np.int32 if hi <= 1 << 31 else np.int64)
 
 
 class TestMertens:
@@ -184,6 +185,33 @@ class TestMertens:
         mu = mobius_sieve(100)
         partial = np.cumsum(mu[1:].astype(np.int64))
         assert tr.checkpoint_values == (partial[0], partial[9], partial[49])
+
+    def test_checkpoints_inside_skipped_chunks(self, monkeypatch):
+        # chunks of 16 steps and segments of 1024: below 3e4, M stays 16 or
+        # more from zero for long stretches, so many chunks are skipped
+        monkeypatch.setattr(census, "_CHUNK", 16)
+        monkeypatch.setattr(engine, "MIN_SEGMENT", 1024)
+        scanned = []
+
+        def spy(values, carry_sign):
+            scanned.append(values.size)
+            return count(values, carry_sign)
+
+        count = census.count_changes_chunk
+        monkeypatch.setattr(census, "count_changes_chunk", spy)
+        x = 30_000
+        m = mertens_walk(x)
+        starts = np.arange(17, x + 1, 16)  # chunk starts a, with M(a-1) = m[a-2]
+        far = starts[np.abs(m[starts - 2]) >= 16]
+        # a checkpoint inside every 80th far chunk, each at its own offset
+        points = [int(a) + k % 16 for k, a in enumerate(far[::80])]
+        tr = mertens_trace(x, checkpoints=points)
+        assert list(tr.checkpoint_values) == m[np.array(points) - 1].tolist()
+        s = np.sign(m)
+        nz = s[s != 0]
+        assert tr.sign_change_count == int(np.count_nonzero(nz[1:] != nz[:-1]))
+        assert tr.final_value == m[-1]
+        assert sum(scanned) < x  # x when every segment is walked densely
 
     def test_census_matches_direct_count(self):
         mu = mobius_sieve(5000)
