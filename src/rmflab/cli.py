@@ -155,7 +155,7 @@ def load_config(path: str) -> dict[str, str]:
                     raise ParameterError(f"{path}:{line_no}: expected 'key = value'")
                 key, val = line.split("=", 1)
                 cfg[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
     return cfg
 
@@ -331,8 +331,11 @@ def _emit(args, records: list[dict], t0: float) -> None:
     )
     manifest_path = args.out + ".manifest.json"
     export(records, args.format, args.out, manifest_ref=os.path.basename(manifest_path))
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
+    try:
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        raise ResourceError(f"cannot write {manifest_path}: {exc}") from exc
     print(f"rmflab: wrote {args.out} and {manifest_path}", file=sys.stderr)
 
 

@@ -7,8 +7,11 @@ sample ``s`` reads bit ``s % 64`` of a hash word belonging to block
 ``s // 64``, so one uint64 XOR pass accumulates the sign parity of 64
 samples simultaneously.
 
-A *source* adapts a concrete model to the engine.  It provides, per
-segment [lo, hi) of integers:
+A *source* adapts a concrete model to the engine.  Its
+``is_float_walk()`` says whether its steps are weighted floats or +-1/0
+integers, and ``begin(x_end)`` returns the state every segment of a walk
+to ``x_end`` shares (prime tables, premixed prime hashes), or None.  It
+provides, per segment [lo, hi) of integers:
 
 ``segment(state, lo, hi) -> ctx``
     shared per-segment data (factorizations, premixed hashes, weights);
@@ -63,7 +66,12 @@ class PartialSumTrace:
 
     @classmethod
     def of_walk(cls, res: WalkResult, checkpoints: Sequence[int]) -> PartialSumTrace:
-        """The first sample's trace from a census walk whose last mark is x_end."""
+        """The first sample's trace from a census walk whose last mark is x_end.
+
+        The checkpoints are taken as ints, sorted and deduplicated; each
+        must be a mark of the walk.
+        """
+        checkpoints = sorted(set(int(c) for c in checkpoints))
         cast = int if res.values.dtype.kind == "i" else float
         row = res.values[0]
         return cls(

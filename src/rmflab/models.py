@@ -189,12 +189,11 @@ class IidWordSource:
         return None
 
     def segment(self, state, lo: int, hi: int):
-        n = np.arange(lo, hi, dtype=np.uint64)
-        return {"lo": lo, "hi": hi, "mn": signs.mix64_array(n * np.uint64(signs.GOLDEN))}
+        return {"mn": signs.premix(np.arange(lo, hi, dtype=np.uint64))}
 
     def block_words(self, ctx, block: int):
         key = signs.block_key(self.master_seed, block, signs.SALT_INDEX)
-        return signs.mix64_array(ctx["mn"] ^ np.uint64(key)), None
+        return signs.keyed_words(ctx["mn"], key), None
 
     def weights(self, ctx):
         return None
@@ -288,16 +287,15 @@ def _collect_martingale(
     carry_sign = np.zeros(samples.size, dtype=np.int64)
     change_acc = np.zeros(samples.size, dtype=np.int64)
     seg_len = segment_length_for(x_end)
+    blocks = group_blocks(samples)
     one = np.uint64(1)
-    row0 = 0
-    for block, lanes in group_blocks(samples):
-        rows = range(row0, row0 + lanes.size)
-        row0 += lanes.size
-        key = signs.block_key(master_seed, block, SALT_MARTINGALE)
-        for lo in range(1, x_end + 1, seg_len):
-            n = np.arange(lo, min(lo + seg_len, x_end + 1), dtype=np.uint64)
-            words = signs.sign_words_array(key, n)
-            for lane, row in zip(lanes, rows):
+    for lo in range(1, x_end + 1, seg_len):
+        mn = signs.premix(np.arange(lo, min(lo + seg_len, x_end + 1), dtype=np.uint64))
+        row = 0
+        for block, lanes in blocks:
+            key = signs.block_key(master_seed, block, SALT_MARTINGALE)
+            words = signs.keyed_words(mn, key)
+            for lane in lanes:
                 r = 1.0 - 2.0 * ((words >> lane) & one).astype(np.float64)
                 m = _martingale_piece(r, running[row], model.martingale_lo, model.martingale_hi)
                 carry_sign[row], change_acc[row] = count_to_marks(
@@ -310,6 +308,7 @@ def _collect_martingale(
                     changes[row] if census else None,
                 )
                 running[row] = m[-1]
+                row += 1
     return values, changes
 
 
@@ -386,8 +385,8 @@ def sample_path(
     budget: int | None = None,
 ) -> PartialSumTrace:
     """One sample's trace of the model walk up to x."""
-    reqs = sorted(set(int(c) for c in (checkpoints or [])))
+    reqs = checkpoints or []
     res = collect_walks(
-        model, x, [*reqs, int(x)], [sample_index], master_seed, census=True, budget=budget
+        model, x, [*reqs, x], [sample_index], master_seed, census=True, budget=budget
     )
     return PartialSumTrace.of_walk(res, reqs)

@@ -18,7 +18,7 @@ import numpy as np
 from . import signs
 from .engine import PartialSumTrace, run_walks
 from .errors import ParameterError
-from .sieve import PrimeTable, primes_up_to, segment_radical_data
+from .sieve import fold_small_primes, primes_up_to, segment_radical_data
 
 HOOKS = ("hash", "minus")
 _ALL_ONES = (1 << 64) - 1
@@ -55,22 +55,14 @@ class RmfWordSource:
 
     def begin(self, x_end: int):
         primes = primes_up_to(max(2, isqrt(x_end)))
-        pm = signs.mix64_array(
-            primes.primes.astype(np.uint64) * np.uint64(signs.GOLDEN)
-        )
-        return {"primes": primes, "pm": pm}
+        return {"primes": primes, "pm": signs.premix(primes.primes)}
 
     def segment(self, state, lo: int, hi: int):
-        primes: PrimeTable = state["primes"]
-        data = segment_radical_data(lo, hi, primes, want_parity=self.hook != "hash")
-        ctx = {"data": data}
+        data = segment_radical_data(lo, hi, state["primes"], want_parity=self.hook != "hash")
         if self.hook != "hash":
-            return ctx
-        ctx["pm"] = state["pm"][: data.wheel + len(data.strided)]
-        ctx["mc"] = signs.mix64_array(
-            data.big_prime.astype(np.uint64) * np.uint64(signs.GOLDEN)
-        )
-        return ctx
+            return {"data": data}
+        return {"data": data, "pm": state["pm"][: data.small.size],
+                "mc": signs.premix(data.big_prime)}
 
     def block_words(self, ctx, block: int):
         """Sign-parity words of one block, exact on every squarefree index."""
@@ -79,13 +71,10 @@ class RmfWordSource:
         if self.hook == "minus":
             words = np.where(data.omega_parity, np.uint64(_ALL_ONES), np.uint64(0))
             return words, sqf
-        key = np.uint64(signs.block_key(self.master_seed, block, signs.SALT_PRIME))
-        hsmall = signs.mix64_array(ctx["pm"] ^ key)
-        words = data.wheel_fold(hsmall, np.bitwise_xor, 0, np.uint64)
-        for (o, p), h in zip(data.strided, hsmall[data.wheel :]):
-            view = words[o::p]
-            np.bitwise_xor(view, h, out=view)
-        words[data.big] ^= signs.mix64_array(ctx["mc"] ^ key)
+        key = signs.block_key(self.master_seed, block, signs.SALT_PRIME)
+        hsmall = signs.keyed_words(ctx["pm"], key)
+        words = fold_small_primes(np.bitwise_xor, hsmall, data.small, data.lo, data.hi)
+        words[data.big] ^= signs.keyed_words(ctx["mc"], key)
         return words, sqf
 
     def weights(self, ctx):
@@ -105,12 +94,12 @@ def rmf_trace(
     One sample is one block, walked in this process; ``workers`` is
     accepted and unused.
     """
-    reqs = sorted(set(int(c) for c in (checkpoints or [])))
+    reqs = checkpoints or []
     source = RmfWordSource(master_seed=oracle.master_seed, hook=oracle.hook)
     res = run_walks(
         source,
         x,
-        marks=[*reqs, int(x)],
+        marks=[*reqs, x],
         sample_indices=[oracle.sample_index],
         census=True,
         budget=budget,

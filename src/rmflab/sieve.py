@@ -9,14 +9,16 @@ and a streaming census of the Mobius partial sums (the Mertens walk).
 Segments are sized ``max(2^20, isqrt(x))``: cache friendly, and memory
 stays bounded for any x up to the 1e11 design ceiling.
 
-The segmented walkers here are written independently of the sampling
-engine so the two can cross-check each other (the Mertens walk equals an
-all-minus-signs multiplicative walk).
+The Mertens walk cross-checks the sampling engine: it equals the
+multiplicative walk with every sign set to -1.  It shares the engine's
+request checks (``walk_inputs``), segment length (``segment_length_for``),
+step walker (``census.walk_steps``) and ``PartialSumTrace``, but not its
+sign words or lane decode: each mu(n) comes straight from the radical
+data's parity.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from math import isqrt
@@ -89,30 +91,28 @@ def squarefree_count(x: int) -> int:
 WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def _wheel_pattern(k: int, values, ufunc: np.ufunc, identity, dtype) -> np.ndarray:
-    """One period of a fold over the first ``k`` wheel primes.
+def fold_small_primes(
+    ufunc: np.ufunc, values: np.ndarray, small: np.ndarray, lo: int, hi: int
+) -> np.ndarray:
+    """Fold ``ufunc`` over the small prime factors of each n in [lo, hi).
 
-    Entry r (0 <= r < 2*3*...*p_k) is ``ufunc`` folded, starting from
-    ``identity``, over ``values[i]`` for each of the first k wheel primes
-    that divides r.
+    ``small`` holds the primes from 2 up to some limit, ascending, and
+    ``values[j]`` belongs to ``small[j]``.  Entry n - lo starts at
+    ``ufunc.identity`` and is folded with ``values[j]`` for each ``small[j]``
+    dividing n; the result has the dtype of ``values``.  The first (up to
+    six) small primes are the wheel primes 2..13: they are folded into one
+    period of a per-residue pattern, which is tiled over the segment.  Every
+    later small prime takes one strided pass.
     """
-    out = np.full(math.prod(WHEEL_PRIMES[:k]), identity, dtype=dtype)
+    k = min(small.size, len(WHEEL_PRIMES))
+    pattern = np.full(math.prod(WHEEL_PRIMES[:k]), ufunc.identity, dtype=values.dtype)
     for p, v in zip(WHEEL_PRIMES[:k], values):
-        view = out[::p]
+        view = pattern[::p]
         ufunc(view, v, out=view)
-    return out
-
-
-def _tile(pattern: np.ndarray, lo: int, length: int) -> np.ndarray:
-    """A fresh array holding ``pattern[(lo + i) % pattern.size]`` for i < length."""
-    return np.resize(np.roll(pattern, -(lo % pattern.size)), length)
-
-
-@functools.cache
-def _signed_wheel(k: int, dtype: type) -> np.ndarray:
-    """Product of -p over the first k wheel primes p dividing r, for each residue r."""
-    out = _wheel_pattern(k, [-p for p in WHEEL_PRIMES], np.multiply, 1, dtype)
-    out.flags.writeable = False
+    out = np.resize(np.roll(pattern, -(lo % pattern.size)), hi - lo)
+    for o, p, v in zip(((-lo) % small[k:]).tolist(), small[k:].tolist(), values[k:]):
+        view = out[o::p]
+        ufunc(view, v, out=view)
     return out
 
 
@@ -134,11 +134,9 @@ class SegmentData:
       factor, int32 when hi <= 2^31 and int64 above (the dtype of the
       radical product); ``omega_parity`` is None.
 
-    ``squarefree`` is always filled.  The small primes split in two.  The
-    first ``wheel`` of them are wheel primes (2..13), folded in from a tiled
-    per-residue pattern (see :meth:`wheel_fold`); each later one is listed
-    in ``strided`` as (index of its first multiple, p) and takes one
-    strided pass.
+    ``squarefree`` and ``small``, the small primes in ascending order, are
+    always filled; :func:`fold_small_primes` folds per-prime values over
+    them.
     """
 
     lo: int
@@ -146,15 +144,8 @@ class SegmentData:
     squarefree: np.ndarray
     big: np.ndarray | None
     big_prime: np.ndarray | None
-    wheel: int
-    strided: list[tuple[int, int]]
+    small: np.ndarray
     omega_parity: np.ndarray | None = None
-
-    def wheel_fold(self, values, ufunc: np.ufunc, identity, dtype) -> np.ndarray:
-        """Entry i folds ``ufunc`` from ``identity`` over ``values[j]`` for
-        each of the first ``wheel`` wheel primes (the j-th) dividing lo + i."""
-        pattern = _wheel_pattern(self.wheel, values, ufunc, identity, dtype)
-        return _tile(pattern, self.lo, self.hi - self.lo)
 
 
 def segment_radical_data(
@@ -162,19 +153,16 @@ def segment_radical_data(
 ) -> SegmentData:
     """Sieve [lo, hi) by the small primes p <= isqrt(hi-1) of ``primes``.
 
-    Each n gets the product of -p over its small prime factors p: its
-    absolute value is the small part of n's radical, its sign the parity
-    of their number.  The product starts as a tiled per-residue pattern of
-    the first k wheel primes 2..13 that are small; every later small prime
-    takes one strided pass.  It is held in int32 when hi <= 2^31 (its
-    absolute value is at most n < hi) and in int64 above.  A squarefree n
-    (no small p^2 divides it) has a big prime factor exactly when that
-    radical part is below n.
+    Each n gets the product of -p over its small prime factors p (a
+    :func:`fold_small_primes` with ``np.multiply``): its absolute value is
+    the small part of n's radical, its sign the parity of their number.
+    It is held in int32 when hi <= 2^31 (its absolute value is at most
+    n < hi) and in int64 above.  A squarefree n (no small p^2 divides it)
+    has a big prime factor exactly when that radical part is below n.
 
-    ``want_parity=True`` returns ``squarefree`` and ``omega_parity`` only;
-    otherwise ``squarefree``, ``big`` and ``big_prime`` (see
-    :class:`SegmentData`).  Raises ``ParameterError`` for an empty
-    segment, lo < 1 or a prime table short of isqrt(hi-1).
+    ``want_parity=True`` fills ``omega_parity``, and otherwise ``big`` and
+    ``big_prime`` (see :class:`SegmentData`).  Raises ``ParameterError``
+    for an empty segment, lo < 1 or a prime table short of isqrt(hi-1).
     """
     if not (1 <= lo < hi):
         raise ParameterError(f"segment [{lo}, {hi}) is empty or starts below 1")
@@ -185,13 +173,8 @@ def segment_radical_data(
         )
     L = hi - lo
     small = primes.primes[: np.searchsorted(primes.primes, lim, side="right")]
-    k = min(small.size, len(WHEEL_PRIMES))
-    strided = list(zip(((-lo) % small[k:]).tolist(), small[k:].tolist()))
     dtype = np.int32 if hi <= 1 << 31 else np.int64
-    prod = _tile(_signed_wheel(k, dtype), lo, L)
-    for o, p in strided:
-        view = prod[o::p]
-        np.multiply(view, dtype(-p), out=view)
+    prod = fold_small_primes(np.multiply, -small.astype(dtype), small, lo, hi)
     negative = prod < 0 if want_parity else None
     rad = np.abs(prod, out=prod)
     sqf = np.ones(L, dtype=bool)
@@ -221,8 +204,7 @@ def segment_radical_data(
         squarefree=sqf,
         big=big,
         big_prime=big_prime,
-        wheel=k,
-        strided=strided,
+        small=small,
         omega_parity=parity,
     )
 
@@ -232,12 +214,13 @@ def mertens_trace(
 ) -> PartialSumTrace:
     """Streaming partial sums of mu(n) for n <= x with a sign-change census.
 
-    Written directly on the segmented radical data (no sampling engine), so
-    it can serve as an independent cross-check of the multiplicative walk
-    with all signs set to -1.  ``budget`` bounds the x steps as it bounds
+    mu(n) is read from the segmented radical data, with no sign word or
+    lane decode, so the walk cross-checks the multiplicative walk with all
+    signs set to -1; the steps go through the engine's
+    :func:`census.walk_steps`.  ``budget`` bounds the x steps as it bounds
     one sample's walk; the default is unbounded.
     """
-    reqs = sorted(set(int(c) for c in (checkpoints or [])))
+    reqs = checkpoints or []
     x, marks, _ = walk_inputs(x, [*reqs, x], [0], budget)
     primes = primes_up_to(max(2, isqrt(x)))
     seg = segment_length_for(x)

@@ -75,15 +75,23 @@ def block_key(master_seed: int, block: int, salt: int) -> int:
     return mix64((master_seed + GOLDEN * block + salt) & MASK64)
 
 
-def sign_words_array(key: int, values: np.ndarray) -> np.ndarray:
-    """64 lane sign bits for each value under a block key.
+def premix(values: np.ndarray) -> np.ndarray:
+    """The key-free half of the sign-word hash: mix64(v * GOLDEN) for each value.
 
-    Bit j of a word is the sign bit of sample ``64*block + j``: 0 encodes
-    +1, 1 encodes -1.
+    It depends on the values alone, so a walk premixes each segment's values
+    once and keys the result for every block (:func:`keyed_words`).
     """
-    v = values.astype(np.uint64, copy=True)
-    v *= np.uint64(GOLDEN)
-    return mix64_array(mix64_array(v) ^ np.uint64(key))
+    return mix64_array(np.multiply(values, np.uint64(GOLDEN), dtype=np.uint64, casting="unsafe"))
+
+
+def keyed_words(premixed: np.ndarray, key: int) -> np.ndarray:
+    """64 lane sign bits for each premixed value under a block key.
+
+    ``keyed_words(premix(v), key)`` is mix64(mix64(v * GOLDEN) ^ key).  Bit
+    j of a word is the sign bit of sample ``64*block + j``: 0 encodes +1, 1
+    encodes -1.
+    """
+    return mix64_array(premixed ^ np.uint64(key))
 
 
 def uniform01(master_seed: int, sample_index: int, salt: int) -> float:

@@ -163,6 +163,13 @@ def sign_word(key: int, value: int) -> int:
     return signs.mix64(key ^ signs.mix64((value * signs.GOLDEN) & signs.MASK64))
 
 
+def sign_words_array(key: int, values: np.ndarray) -> np.ndarray:
+    """``sign_word`` for each value, hashed with ``signs.mix64_array``."""
+    v = values.astype(np.uint64, copy=True)
+    v *= np.uint64(signs.GOLDEN)
+    return signs.mix64_array(signs.mix64_array(v) ^ np.uint64(key))
+
+
 def sign_bit_to_int(word: int, lane: int) -> int:
     """Extract lane's sign from a word: returns +1 or -1."""
     return 1 - 2 * ((word >> lane) & 1)
@@ -282,11 +289,11 @@ def radical_reference(lo: int, hi: int, primes: PrimeTable):
 
 
 def words_reference(lo: int, hi: int, primes: PrimeTable, key: int) -> np.ndarray:
-    """XOR of ``signs.sign_words_array`` over the distinct prime factors of each n."""
+    """XOR of ``sign_words_array`` over the distinct prime factors of each n."""
     seg = factor_segment(lo, hi, primes)
     rows = np.repeat(np.arange(hi - lo), np.diff(seg.factor_indptr))
     words = np.zeros(hi - lo, dtype=np.uint64)
-    np.bitwise_xor.at(words, rows, signs.sign_words_array(key, seg.factor_values))
+    np.bitwise_xor.at(words, rows, sign_words_array(key, seg.factor_values))
     big = seg.cofactor > 1
-    words[big] ^= signs.sign_words_array(key, seg.cofactor[big])
+    words[big] ^= sign_words_array(key, seg.cofactor[big])
     return words

@@ -130,6 +130,22 @@ class TestExitCodes:
             assert run(["signprob", "--x", "100", "--N", "2", "--seed", "1", "--samples", "4"]) == 2
             assert "rmflab: error: parameter:" in capsys.readouterr().err
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"samples = 4\n\xff\n")
+        assert run(["moments", "--x", "100", "--seed", "1", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "rmflab: error: parameter: cannot read config" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_manifest_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        (tmp_path / "out.csv.manifest.json").mkdir()
+        assert run(["mertens", "--x", "1000", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "rmflab: error: resource: cannot write" in err
+        assert "Traceback" not in err
+
     def test_signprob_at_x_one_runs(self, capsys):
         # the regime flags need log log x, which x = 1 does not have
         assert run(["signprob", "--x", "1", "--N", "2", "--seed", "1", "--samples", "4"]) == 0

@@ -7,7 +7,7 @@ from rmflab.errors import ParameterError, ResourceError
 from rmflab.models import IidWordSource, ModelSpec, collect_walks
 from rmflab.rmf import RmfWordSource
 
-from oracle import harmonic_walks
+from oracle import harmonic_walks, sign_words_array
 
 
 def test_marks_validation():
@@ -41,7 +41,7 @@ def test_iid_walk_matches_direct_hash():
     seed, sample = 99, 70  # block 1, lane 6
     res = run_walks(IidWordSource(master_seed=seed), 200, [1, 100, 200], [sample])
     key = signs.block_key(seed, sample >> 6, signs.SALT_INDEX)
-    words = signs.sign_words_array(key, np.arange(1, 201, dtype=np.int64))
+    words = sign_words_array(key, np.arange(1, 201, dtype=np.int64))
     steps = 1 - 2 * ((words >> np.uint64(sample & 63)) & np.uint64(1)).astype(np.int64)
     walk = np.cumsum(steps)
     assert res.values[0].tolist() == [walk[0], walk[99], walk[199]]

@@ -4,7 +4,7 @@ from pathlib import Path
 import rmflab
 
 ROOT = Path(__file__).resolve().parents[1]
-# no reader yet: ROADMAP item 3 (the joint moment curve) gives harper_predictor its caller
+# no reader yet: ROADMAP item 5 (the joint moment curve) gives harper_predictor its caller
 UNREAD_EXEMPT = {"harper_predictor"}
 
 

@@ -19,6 +19,7 @@ from oracle import (
     f_value,
     factor_segment,
     sign_of_prime,
+    sign_words_array,
     words_reference,
 )
 
@@ -68,7 +69,7 @@ class TestSignOracle:
         from rmflab import signs
 
         key = signs.block_key(seed, idx >> 6, signs.SALT_PRIME)
-        words = signs.sign_words_array(key, ps)
+        words = sign_words_array(key, ps)
         vals = 1 - 2 * ((words >> np.uint64(idx & 63)) & np.uint64(1)).astype(np.int64)
         # spot-check the vectorized signs against the scalar oracle
         for j in (0, 1, 99_999):

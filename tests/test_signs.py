@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rmflab import signs
 
-from oracle import sign_bit_to_int, sign_word
+from oracle import sign_bit_to_int, sign_word, sign_words_array
 
 
 @given(st.integers(0, 2**64 - 1))
@@ -30,8 +30,25 @@ def test_mix64_array_across_chunks_and_layouts():
 @given(st.integers(0, 2**64 - 1), st.integers(2, 2**40))
 def test_sign_word_scalar_matches_array(key, value):
     word = sign_word(key, value)
-    arr = signs.sign_words_array(key, np.array([value], dtype=np.int64))
+    arr = sign_words_array(key, np.array([value], dtype=np.int64))
     assert int(arr[0]) == word
+
+
+@pytest.mark.parametrize(
+    "dtype,values",
+    [
+        (np.int32, [0, 1, 2, 13, 2**31 - 1]),
+        (np.int64, [0, 1, 97, 2**40 + 15, 2**63 - 1]),
+        (np.uint64, [0, 1, 97, 2**62 + 3, 2**63 - 1]),
+    ],
+)
+def test_premix_then_keyed_words_match_sign_word(dtype, values):
+    key = signs.block_key(2024, 3, signs.SALT_PRIME)
+    arr = np.array(values, dtype=dtype)
+    words = signs.keyed_words(signs.premix(arr), key)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [sign_word(key, v) for v in values]
+    assert arr.tolist() == values  # the input is kept
 
 
 def test_sign_bits_deterministic():
@@ -56,7 +73,7 @@ def test_lane_bits_unbiased_over_values():
     # each lane of the hash word should be a fair coin across values
     key = signs.block_key(7, 3, signs.SALT_INDEX)
     vals = np.arange(1, 20001, dtype=np.int64)
-    words = signs.sign_words_array(key, vals)
+    words = sign_words_array(key, vals)
     for lane in (0, 17, 63):
         bits = ((words >> np.uint64(lane)) & np.uint64(1)).astype(np.int64)
         mean = 1.0 - 2.0 * bits.mean()
