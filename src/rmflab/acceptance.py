@@ -6,8 +6,8 @@ failure with the message as detail).  Both ``pytest tests/test_acceptance.py``
 and ``rmflab selftest`` run these same functions.
 
 Sampling criteria run at an explicit seed (the test suite uses
-ACCEPTANCE_SEED); the heavy experiments pass their exact step requirement
-as the budget, since several criteria deliberately exceed the default
+ACCEPTANCE_SEED) on plans from ``_plan``, whose budget is the walk's exact
+step requirement, since several criteria deliberately exceed the default
 1e9-step guardrail.
 """
 
@@ -63,6 +63,14 @@ def _wrap(number: int, name: str, fn, *args, **kw) -> CriterionResult:
     return CriterionResult(number, name, bool(passed), detail, time.time() - t0)
 
 
+def _plan(seed: int, workers: int, kind: str, samples: int, x_end: int) -> ExperimentPlan:
+    """``samples`` walks of ``kind``, budgeted for exactly a walk to ``x_end``."""
+    return ExperimentPlan(
+        master_seed=seed, samples=samples, model=ModelSpec(kind),
+        workers=workers, budget=x_end * samples,
+    )
+
+
 def _naive_recount(values) -> int:
     last = 0
     count = 0
@@ -81,11 +89,7 @@ def _naive_recount(values) -> int:
 
 def crit_second_moment(seed: int, workers: int) -> tuple[bool, str]:
     xs = [10**3, 10**4, 10**5]
-    plan = ExperimentPlan(
-        master_seed=seed, samples=2000, model=ModelSpec("rmf"), workers=workers,
-        budget=xs[-1] * 2000,
-    )
-    table = moment_table(plan, xs, [2.0])
+    table = moment_table(_plan(seed, workers, "rmf", 2000, xs[-1]), xs, [2.0])
     parts = []
     ok = True
     for x in xs:
@@ -100,11 +104,7 @@ def crit_second_moment(seed: int, workers: int) -> tuple[bool, str]:
 def crit_correlation_decay(seed: int, workers: int) -> tuple[bool, str]:
     x = 10**3
     n_max = 6
-    samples = 2000
-    plan = ExperimentPlan(
-        master_seed=seed, samples=samples, model=ModelSpec("rmf"), workers=workers,
-        budget=grid_positions(x, n_max)[-1] * samples,
-    )
+    plan = _plan(seed, workers, "rmf", 2000, grid_positions(x, n_max)[-1])
     pairs = [(n, m) for n in range(1, n_max) for m in range(n + 1, n_max + 1)]
     worst_dev = 0.0
     worst_bound = 0.0
@@ -154,11 +154,7 @@ def crit_bruteforce_oracle(seed: int, workers: int) -> tuple[bool, str]:
     exact_v = v_counts.mean()
     exact_abs = np.abs(paths[:, -1]).mean()
     # Monte Carlo at 1e5 samples
-    samples = 10**5
-    plan = ExperimentPlan(
-        master_seed=seed, samples=samples, model=ModelSpec("iid_rademacher"),
-        workers=workers, budget=n * samples,
-    )
+    plan = _plan(seed, workers, "iid_rademacher", 10**5, n)
     est_v = estimate_expected_V(plan, n)
     est_abs = estimate_moment(plan, n, 1.0)
     dev_v = abs(est_v.point - exact_v) / est_v.se
@@ -173,12 +169,7 @@ def crit_bruteforce_oracle(seed: int, workers: int) -> tuple[bool, str]:
 
 def crit_erdos_hunt(seed: int, workers: int) -> tuple[bool, str]:
     xs = [2**k for k in range(10, 21)]
-    samples = 400
-    plan = ExperimentPlan(
-        master_seed=seed, samples=samples, model=ModelSpec("iid_rademacher"),
-        workers=workers, budget=xs[-1] * samples,
-    )
-    table = expected_v_table(plan, xs)
+    table = expected_v_table(_plan(seed, workers, "iid_rademacher", 400, xs[-1]), xs)
     worst = math.inf
     for x in xs:
         floor = 0.4 * math.log(x)
@@ -198,12 +189,7 @@ SIGNPROB_N = 8
 
 def signprob_plan(seed: int, workers: int) -> ExperimentPlan:
     """1000 rmf samples, budgeted for the walk to e^N times the largest x."""
-    samples = 10**3
-    biggest = int(math.exp(SIGNPROB_N) * SIGNPROB_XS[-1])
-    return ExperimentPlan(
-        master_seed=seed, samples=samples, model=ModelSpec("rmf"),
-        workers=workers, budget=biggest * samples + 1,
-    )
+    return _plan(seed, workers, "rmf", 10**3, grid_positions(SIGNPROB_XS[-1], SIGNPROB_N)[-1])
 
 
 def avg_v_grid() -> list[float]:
@@ -217,11 +203,7 @@ def avg_v_scale(x: float) -> float:
 
 def avg_v_plan(seed: int, workers: int) -> ExperimentPlan:
     """600 rmf samples, budgeted for the walk to the end of the grid."""
-    samples = 600
-    return ExperimentPlan(
-        master_seed=seed, samples=samples, model=ModelSpec("rmf"),
-        workers=workers, budget=int(avg_v_grid()[-1]) * samples + 1,
-    )
+    return _plan(seed, workers, "rmf", 600, int(avg_v_grid()[-1]))
 
 
 def crit_sign_change_prob(seed: int, workers: int) -> tuple[bool, str]:
@@ -264,12 +246,7 @@ def crit_avg_v_growth(seed: int, workers: int) -> tuple[bool, str]:
 
 def crit_harper_shape(seed: int, workers: int) -> tuple[bool, str]:
     xs = [10**4, 10**5, 10**6, 10**7]
-    samples = 500
-    plan = ExperimentPlan(
-        master_seed=seed, samples=samples, model=ModelSpec("rmf"),
-        workers=workers, budget=xs[-1] * samples,
-    )
-    table = moment_table(plan, xs, [1.0, 2.0])
+    table = moment_table(_plan(seed, workers, "rmf", 500, xs[-1]), xs, [1.0, 2.0])
     ok = True
     parts = []
     for x in xs:
@@ -342,9 +319,9 @@ def crit_performance(seed: int, workers: int) -> tuple[bool, str]:
         reasons.append(f"peak rss {info['rss_mb']:.0f}MB >= 1GB")
     # reproducibility across worker counts on representative experiments
     for maker in (
-        lambda w: estimate_moment(_plan(seed, 200, w, 10**4), 10**4, 2.0),
-        lambda w: estimate_expected_V(_plan(seed, 200, w, 10**4), 10**4),
-        lambda w: estimate_sign_change_prob(_plan(seed, 200, w, 10**4), 100.0, 2),
+        lambda w: estimate_moment(_plan(seed, w, "rmf", 200, 10**4), 10**4, 2.0),
+        lambda w: estimate_expected_V(_plan(seed, w, "rmf", 200, 10**4), 10**4),
+        lambda w: estimate_sign_change_prob(_plan(seed, w, "rmf", 200, 10**4), 100.0, 2),
     ):
         if maker(1) != maker(2):
             reasons.append("worker count changed an estimate")
@@ -357,21 +334,9 @@ def crit_performance(seed: int, workers: int) -> tuple[bool, str]:
     return ok, detail if ok else detail + "; " + "; ".join(reasons)
 
 
-def _plan(seed: int, samples: int, workers: int, x: int) -> ExperimentPlan:
-    return ExperimentPlan(
-        master_seed=seed, samples=samples, model=ModelSpec("rmf"),
-        workers=workers, budget=int(math.exp(2)) * x * samples + 10**6,
-    )
-
-
 def crit_sidon(seed: int, workers: int) -> tuple[bool, str]:
     xs = [100, 1000]
-    samples = 10**4
-    plan = ExperimentPlan(
-        master_seed=seed, samples=samples, model=ModelSpec("sidon_cosine"),
-        workers=workers, budget=xs[-1] * samples,
-    )
-    table = moment_table(plan, xs, [1.0, 2.0, 4.0])
+    table = moment_table(_plan(seed, workers, "sidon_cosine", 10**4, xs[-1]), xs, [1.0, 2.0, 4.0])
     ok = True
     parts = []
     for x in xs:
@@ -399,12 +364,7 @@ def _harmonic_expected_v(xs: list[int]) -> np.ndarray:
 
 def crit_harmonic_growth(seed: int, workers: int) -> tuple[bool, str]:
     xs = [2**k for k in range(8, 23)]
-    samples = 500
-    plan = ExperimentPlan(
-        master_seed=seed, samples=samples, model=ModelSpec("harmonic_rademacher"),
-        workers=workers, budget=xs[-1] * samples + 1,
-    )
-    table = expected_v_table(plan, xs)
+    table = expected_v_table(_plan(seed, workers, "harmonic_rademacher", 500, xs[-1]), xs)
     predicted = _harmonic_expected_v(xs)
     devs = [abs(table[x].point - pred) / table[x].se for x, pred in zip(xs, predicted)]
     ok = max(devs) <= 4.0

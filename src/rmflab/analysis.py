@@ -25,6 +25,7 @@ import numpy as np
 
 from .census import change_positions_chunk
 from .errors import ParameterError, ResourceError
+from .rmf import grid_positions
 from .sieve import squarefree_count
 
 SIEVE_ARGUMENT_CEILING = 10**14  # Q(x) stays fast (O(sqrt x)) below this
@@ -135,16 +136,6 @@ def count_sign_changes(values) -> SignChangeReport:
     return SignChangeReport(count=len(positions), positions=tuple(positions))
 
 
-def _grid_point(x: float, n: int) -> int:
-    u = math.floor(math.exp(n) * x)
-    if u > SIEVE_ARGUMENT_CEILING:
-        raise ResourceError(
-            f"e^{n} * {x} = {u} exceeds the sieve ceiling {SIEVE_ARGUMENT_CEILING}",
-            required=u,
-        )
-    return u
-
-
 def exact_correlation(x: float, n: int, m: int) -> float:
     """Exact correlation of (Y_n, Y_m) for n < m.
 
@@ -155,8 +146,13 @@ def exact_correlation(x: float, n: int, m: int) -> float:
         raise ParameterError(f"need 1 <= n < m, got n={n}, m={m}")
     if x <= 0:
         raise ParameterError("x must be positive")
-    un = _grid_point(x, n)
-    um = _grid_point(x, m)
+    positions = grid_positions(x, m)
+    un, um = positions[n - 1], positions[m - 1]
+    if um > SIEVE_ARGUMENT_CEILING:
+        raise ResourceError(
+            f"e^{m} * {x} = {um} exceeds the sieve ceiling {SIEVE_ARGUMENT_CEILING}",
+            required=um,
+        )
     q_n = squarefree_count(un)
     q_m = squarefree_count(um)
     e_yn_ym = q_n / (math.exp((n + m) / 2.0) * x)

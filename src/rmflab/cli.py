@@ -104,28 +104,6 @@ def record(
     }
 
 
-def export(records: list[dict], fmt: str, path: str, manifest_ref: str | None = None):
-    """Write one record per line; CSV keeps the fixed documented header."""
-    if not records:
-        raise ParameterError("no records to export")
-    if fmt not in ("csv", "jsonl"):
-        raise ParameterError(f"unknown format {fmt!r}; use csv or jsonl")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            if fmt == "csv":
-                fh.write(CSV_HEADER + "\n")
-                for r in records:
-                    fh.write(",".join(_fmt(r.get(k)) for k in RECORD_FIELDS) + "\n")
-            else:
-                for r in records:
-                    row = {k: r.get(k) for k in RECORD_FIELDS}
-                    if manifest_ref:
-                        row["manifest"] = manifest_ref
-                    fh.write(json.dumps(row) + "\n")
-    except OSError as exc:
-        raise ResourceError(f"cannot write {path}: {exc}") from exc
-
-
 def _parse_floats(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -316,11 +294,18 @@ def _plan(args) -> ExperimentPlan:
 
 
 def _emit(args, records: list[dict], t0: float) -> None:
+    """Print the records; with ``--out``, also write them and ``PATH.manifest.json``.
+
+    The records file holds one record per line; CSV keeps the fixed
+    documented header and each JSON line names its manifest.
+    """
     for r in records:
         cells = [f"{k}={_fmt(r.get(k))}" for k in RECORD_FIELDS if r.get(k) not in (None, "")]
         print("  ".join(cells))
-    if not args.out:
+    if not getattr(args, "out", None):
         return
+    if not records:
+        raise ParameterError("no records to export")
     options = dict(vars(args))
     manifest = RunManifest(
         command=options.pop("command"),
@@ -330,17 +315,22 @@ def _emit(args, records: list[dict], t0: float) -> None:
         experiment_seeds={r["experiment"]: r.get("seed") for r in records},
     )
     manifest_path = args.out + ".manifest.json"
-    export(records, args.format, args.out, manifest_ref=os.path.basename(manifest_path))
+    if args.format == "csv":
+        lines = [CSV_HEADER, *(",".join(_fmt(r.get(k)) for k in RECORD_FIELDS) for r in records)]
+    else:
+        ref = os.path.basename(manifest_path)
+        lines = [json.dumps({**{k: r.get(k) for k in RECORD_FIELDS}, "manifest": ref}) for r in records]
     try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
     except OSError as exc:
-        raise ResourceError(f"cannot write {manifest_path}: {exc}") from exc
+        raise ResourceError(f"cannot write {exc.filename or args.out}: {exc}") from exc
     print(f"rmflab: wrote {args.out} and {manifest_path}", file=sys.stderr)
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.time()
+def cmd_simulate(args) -> tuple[list[dict], int]:
     seed = _seed(args)
     checkpoints = _parse_ints(args.checkpoints) if args.checkpoints else []
     trace = sample_path(
@@ -358,27 +348,22 @@ def cmd_simulate(args) -> int:
     ]
     for c, v in zip(trace.checkpoint_requests, trace.checkpoint_values):
         recs.append(record("simulate-checkpoint", k, x=c, point=float(v), n_samples=1, seed=seed))
-    _emit(args, recs, t0)
-    return 0
+    return recs, 0
 
 
-def cmd_moments(args) -> int:
-    t0 = time.time()
+def cmd_moments(args) -> tuple[list[dict], int]:
     plan = _plan(args)
     xs = _parse_floats(args.x)
     qs = _parse_floats(args.q)
     table = moment_table(plan, xs, qs)
-    recs = [
+    return [
         record("moment", plan.model.kind, x=x, q=q, est=table[(x, q)])
         for x in xs
         for q in qs
-    ]
-    _emit(args, recs, t0)
-    return 0
+    ], 0
 
 
-def cmd_lambda(args) -> int:
-    t0 = time.time()
+def cmd_lambda(args) -> tuple[list[dict], int]:
     qs = _parse_floats(args.q)
     recs = []
     for q in qs:
@@ -393,12 +378,10 @@ def cmd_lambda(args) -> int:
             print(f"q={q}: exact={exact:.6g} asymptotic={asym:.6g} ratio={exact / asym:.6g}")
         else:
             print(f"q={q}: exact={exact:.6g} (asymptotic needs q <= 1.9)")
-    _emit(args, recs, t0)
-    return 0
+    return recs, 0
 
 
-def cmd_correlations(args) -> int:
-    t0 = time.time()
+def cmd_correlations(args) -> tuple[list[dict], int]:
     plan = _plan(args)
     if args.max_m is not None:
         if args.max_m <= args.n:
@@ -415,12 +398,10 @@ def cmd_correlations(args) -> int:
         exact = exact_correlation(args.x, n, m)
         recs.append(record(f"correlation[{n},{m}]", plan.model.kind, x=args.x, N=m, est=est))
         recs.append(record(f"correlation-exact[{n},{m}]", "exact", x=args.x, N=m, point=exact))
-    _emit(args, recs, t0)
-    return 0
+    return recs, 0
 
 
-def cmd_events(args) -> int:
-    t0 = time.time()
+def cmd_events(args) -> tuple[list[dict], int]:
     plan = _plan(args)
     res = estimate_event_probs(plan, args.x, args.N, args.epsilon, args.delta)
     flags = regime_flags(args.x, args.N)
@@ -436,12 +417,10 @@ def cmd_events(args) -> int:
     else:
         print("conditional sign-change frequency undefined (no A&B samples or N=1)")
     print(f"lambda1={res.lambda1:.6g} forcing geometry holds: {res.threshold_ok}")
-    _emit(args, recs, t0)
-    return 0
+    return recs, 0
 
 
-def cmd_signprob(args) -> int:
-    t0 = time.time()
+def cmd_signprob(args) -> tuple[list[dict], int]:
     plan = _plan(args)
     recs = []
     for x in _parse_floats(args.x):
@@ -450,12 +429,10 @@ def cmd_signprob(args) -> int:
             print(f"rmflab: warning: x={x} N={args.N} outside hypothesis regime {flags}", file=sys.stderr)
         est = estimate_sign_change_prob(plan, x, args.N)
         recs.append(record("signprob", plan.model.kind, x=x, N=args.N, est=est, flags=flags))
-    _emit(args, recs, t0)
-    return 0
+    return recs, 0
 
 
-def cmd_avg_v(args) -> int:
-    t0 = time.time()
+def cmd_avg_v(args) -> tuple[list[dict], int]:
     plan = _plan(args)
     if args.x:
         xs = _parse_floats(args.x)
@@ -470,23 +447,18 @@ def cmd_avg_v(args) -> int:
     if not xs:
         raise ParameterError("x grid is empty after filtering")
     table = expected_v_table(plan, xs)
-    recs = [record("avg-v", plan.model.kind, x=x, est=table[x]) for x in xs]
-    _emit(args, recs, t0)
-    return 0
+    return [record("avg-v", plan.model.kind, x=x, est=table[x]) for x in xs], 0
 
 
-def cmd_mertens(args) -> int:
-    t0 = time.time()
+def cmd_mertens(args) -> tuple[list[dict], int]:
     trace = mertens_trace(int(args.x), budget=resolve_budget(args.budget))
-    recs = [
+    return [
         record("mertens-changes", "mertens", x=trace.x_end, point=float(trace.sign_change_count), n_samples=1),
         record("mertens-final", "mertens", x=trace.x_end, point=float(trace.final_value), n_samples=1),
-    ]
-    _emit(args, recs, t0)
-    return 0
+    ], 0
 
 
-def cmd_models(args) -> int:
+def cmd_models(args) -> tuple[list[dict], int]:
     for kind in KINDS:
         spec = ModelSpec(kind)
         mean1 = spec.mean(1)
@@ -501,15 +473,14 @@ def cmd_models(args) -> int:
         if kind == "sidon_cosine":
             extras = f"  greedy B2 head: {mian_chowla(8).elements}"
         print(f"{kind:22s} EX_1={mean1:+.0f}  VarX_5 in {v5}  {psi}{extras}")
-    return 0
+    return [], 0
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[list[dict], int]:
     from .acceptance import run_all
 
     if args.seed is None:
         raise ParameterError("selftest requires an explicit --seed")
-    t0 = time.time()
     results = run_all(seed=int(args.seed), workers=args.workers)
     recs = []
     failed = 0
@@ -521,9 +492,8 @@ def cmd_selftest(args) -> int:
             record(f"selftest-{res.number}", "acceptance", point=float(res.passed),
                    n_samples=None, seed=int(args.seed))
         )
-    _emit(args, recs, t0)
     print(f"selftest: {len(results) - failed}/{len(results)} criteria passed")
-    return 1 if failed else 0
+    return recs, 1 if failed else 0
 
 
 _HANDLERS = {
@@ -548,7 +518,10 @@ def run(argv: list[str]) -> int:
             _apply_config(subparsers[argv[at]], argv[at + 1 :])
         args = parser.parse_args(argv)
         _check_finite(args)
-        return _HANDLERS[args.command](args)
+        t0 = time.time()
+        records, status = _HANDLERS[args.command](args)
+        _emit(args, records, t0)
+        return status
     except ParameterError as exc:
         print(f"rmflab: error: parameter: {exc}", file=sys.stderr)
         return 2

@@ -215,10 +215,7 @@ def moment_table(
     for x, j in zip(xs, res.columns(positions)):
         m_vals = res.values[:, j].astype(np.float64)
         for q in qs:
-            if q == 0:
-                vals = np.ones_like(m_vals)
-            else:
-                vals = np.abs(m_vals) ** q
+            vals = np.abs(m_vals) ** q
             purpose = f"moment|model={plan.model.kind}|x={x!r}|q={q!r}"
             out[(x, q)] = bootstrap_estimate(
                 vals, plan.master_seed, purpose, plan.n_boot
@@ -279,10 +276,13 @@ def x_ell_grid(epsilon: float, ell_max: int) -> list[float]:
         raise ParameterError(f"epsilon must lie in (0, 1/100], got {epsilon}")
     if ell_max < 2:
         raise ParameterError(f"ell_max must be >= 2, got {ell_max}")
-    return [
-        math.exp(ell * math.log(ell) ** (0.5 + epsilon))
-        for ell in range(2, ell_max + 1)
-    ]
+    try:
+        return [
+            math.exp(ell * math.log(ell) ** (0.5 + epsilon))
+            for ell in range(2, ell_max + 1)
+        ]
+    except OverflowError as exc:
+        raise ParameterError(f"x_ell overflows a float for some ell <= {ell_max} at epsilon={epsilon}") from exc
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ radical/squarefree data, the squarefree counting function
     Q(x) = #{n <= x : n squarefree} = sum_{d <= sqrt(x)} mu(d) * floor(x/d^2),
 
 and a streaming census of the Mobius partial sums (the Mertens walk).
-Segments are sized ``max(2^20, isqrt(x))``: cache friendly, and memory
-stays bounded for any x up to the 1e11 design ceiling.
+Segments are sized ``max(2^20, isqrt(x))``: fixed and cache friendly up
+to x = 2^40, then growing like sqrt(x), as does the prime table of a walk
+to x (primes up to isqrt(x)).  No ceiling on x is enforced here beyond
+``walk_inputs``'s x < 2^63; a walk's step budget, when given, refuses first.
 
 The Mertens walk cross-checks the sampling engine: it equals the
 multiplicative walk with every sign set to -1.  It shares the engine's
@@ -47,7 +49,11 @@ class PrimeTable:
 
 
 def primes_up_to(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes. Valid for 2 <= limit <= 2^40."""
+    """Sieve of Eratosthenes over one bool array of limit + 1 bytes.
+
+    The check admits 2 <= limit <= 2^40, but memory binds far sooner: the
+    limit of 2^40 would need about 1 TB.  A walk to x asks for isqrt(x).
+    """
     if not isinstance(limit, (int, np.integer)) or limit < 2 or limit > MAX_PRIME_LIMIT:
         raise ParameterError(f"prime limit must be in [2, 2^40], got {limit!r}")
     limit = int(limit)

@@ -15,7 +15,7 @@ from rmflab.analysis import (
     lambda_asymptotic,
     lambda_exact,
 )
-from rmflab.errors import ParameterError
+from rmflab.errors import ParameterError, ResourceError
 from rmflab.sieve import squarefree_count
 
 
@@ -165,6 +165,13 @@ class TestExactMoments:
     def test_parameter_order(self):
         with pytest.raises(ParameterError):
             exact_correlation(100.0, 2, 2)
+
+    def test_grid_point_overflow_and_sieve_ceiling(self):
+        # e^3 * 1e308 is past the largest float; e^2 * 1e14 is a float past the sieve
+        with pytest.raises(ParameterError, match="overflows"):
+            exact_correlation(1e308, 1, 3)
+        with pytest.raises(ResourceError, match="sieve ceiling"):
+            exact_correlation(1e14, 1, 2)
 
 
 class TestChebyshev:

@@ -95,11 +95,12 @@ class TestExitCodes:
             ["signprob", "--x", "100", "--N", "2", "--budget", "-1"],
             ["moments", "--x", "103", "--q", "-1"],
             ["simulate", "--x", "100", "--checkpoints", "1.5,7", "--seed", "1"],
+            ["avg-v", "--grid-eps", "0.01", "--ell-max", "300", "--xmax", "1e4"],
         ],
         ids=["signprob-x-nan", "signprob-x-inf", "signprob-N-0", "mertens-x-nan", "lambda-x-overflow",
              "signprob-x-past-int64", "signprob-n-boot-0", "events-N-0", "signprob-N-overflow",
              "correlations-max-m-equals-n", "correlations-max-m-below-n", "signprob-budget-negative",
-             "moments-q-negative", "simulate-checkpoint-fractional"],
+             "moments-q-negative", "simulate-checkpoint-fractional", "avg-v-grid-overflow"],
     )
     def test_bad_number_exits_2(self, argv, capsys):
         if argv[0] not in ("mertens", "lambda", "simulate"):  # those without sampling options
@@ -357,14 +358,15 @@ class TestSubcommandOptions:
 
 
 class TestExportErrors:
-    def test_empty_records_rejected(self, tmp_path):
-        from rmflab.cli import export
-        from rmflab.errors import ParameterError, ResourceError
-
-        with pytest.raises(ParameterError):
-            export([], "csv", str(tmp_path / "x.csv"))
-        with pytest.raises(ResourceError):
-            export([{"experiment": "e"}], "csv", str(tmp_path / "nodir" / "x.csv"))
+    def test_empty_records_rejected(self, tmp_path, capsys):
+        # an empty q list gives no records: nothing to write exits 2
+        out = tmp_path / "x.csv"
+        assert run(["lambda", "--N", "3", "--x", "1e3", "--q", "", "--out", str(out)]) == 2
+        assert "rmflab: error: parameter: no records to export" in capsys.readouterr().err
+        assert not out.exists()
+        # a records file in a missing directory exits 3
+        assert run(["mertens", "--x", "100", "--out", str(tmp_path / "nodir" / "x.csv")]) == 3
+        assert "rmflab: error: resource: cannot write" in capsys.readouterr().err
 
 
 class TestModelsCommand:

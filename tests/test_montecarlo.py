@@ -171,6 +171,11 @@ class TestMoments:
         single = estimate_moment(p, 100.0, 1.0)
         assert table[(100.0, 1.0)] == single
 
+    def test_q0_is_one_even_where_m_is_zero(self):
+        # M(103) = 0 for some samples, and 0 ** 0 = 1
+        est = moment_table(plan(samples=200), [103.0], [0.0])[(103.0, 0.0)]
+        assert (est.point, est.ci_lo, est.ci_hi) == (1.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("q", [-1.0, -0.5, math.inf, math.nan])
     def test_negative_or_nonfinite_q_rejected_before_walking(self, q, walk_ends):
         # M(103) = 0 for some samples, so a negative moment is infinite
@@ -231,6 +236,12 @@ class TestXEllGrid:
         with pytest.raises(ParameterError):
             x_ell_grid(0.01, 1)
         assert x_ell_grid(0.01, 2)  # the boundary value 1/100 is allowed
+
+    def test_float_overflow_is_a_parameter_error(self):
+        # x_293 = exp(293 (log 293)^0.51) is past the largest float
+        assert math.isfinite(x_ell_grid(0.01, 292)[-1])
+        with pytest.raises(ParameterError, match="overflows"):
+            x_ell_grid(0.01, 293)
 
 
 class TestEvents:

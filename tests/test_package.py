@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -33,3 +34,21 @@ def test_one_module_splits_work_between_processes():
     src = ROOT / "src" / "rmflab"
     pools = [p.name for p in sorted(src.glob("*.py")) if "ProcessPoolExecutor" in p.read_text()]
     assert pools == ["models.py"]
+
+
+def test_gate_builds_every_plan_in_one_place():
+    text = (ROOT / "src" / "rmflab" / "acceptance.py").read_text(encoding="utf-8")
+    assert text.count("ExperimentPlan(") == 1
+
+
+def test_cli_writes_results_in_one_place():
+    tree = ast.parse((ROOT / "src" / "rmflab" / "cli.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert "export" not in [f.name for f in functions]
+    emitting = [
+        f.name
+        for f in functions
+        if f.name.startswith("cmd_")
+        and any(isinstance(n, ast.Name) and n.id == "_emit" for n in ast.walk(f))
+    ]
+    assert emitting == []
