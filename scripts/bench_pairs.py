@@ -20,7 +20,8 @@ A claim ``WORKLOAD:METRIC:GAIN`` is met when the change wins at least 9
 of the 10 pairs, its median is better than the parent's by more than the
 parent's interquartile range, and by at least the fraction GAIN.
 
-The report also records each checkout's line count of ``src/rmflab``.
+The report also records each checkout's line count of ``src/rmflab`` and
+the git commit its runs report (null for a checkout without ``.git``).
 """
 
 from __future__ import annotations
@@ -35,19 +36,19 @@ from pathlib import Path
 
 PAIRS = 10
 
-def run_once(checkout: Path, workload: str, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run; returns its result object."""
+def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]:
+    """One ``perfbench/run.py`` run; returns its environment and result objects."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seconds", str(seconds), "--trace", "0",
     ]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
+    if done.returncode != 0 or len(lines) < 2:
         raise RuntimeError(
             f"{checkout}: {workload} run exited with {done.returncode}: {done.stderr.strip()}"
         )
-    return json.loads(lines[-1])
+    return json.loads(lines[-2])["environment"], json.loads(lines[-1])
 
 
 def source_lines(checkout: Path) -> int:
@@ -115,13 +116,15 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report_workloads = {}
+    commits = {}
     for workload in names:
         values = {side: {m["name"]: [] for m in metrics} for side in sides}
         correct = True
         for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(sides[side], workload, seconds)
+                environment, result = run_once(sides[side], workload, seconds)
+                commits.setdefault(side, environment["git_commit"])
                 correct &= bool(result["correct"]) and result["failed"] == 0
                 for m in metrics:
                     values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
@@ -150,6 +153,7 @@ def main(argv=None) -> int:
     report = {
         "description": f"{args.description} {description}".strip(),
         "src_rmflab_lines": {**lines, "delta": lines["change"] - lines["parent"]},
+        "commits": commits,
         "workloads": report_workloads,
     }
     if args.claim:

@@ -32,7 +32,6 @@ from .models import (
 from .montecarlo import (
     EstimateWithCI,
     ExperimentPlan,
-    RunManifest,
     correlation_table,
     estimate_correlation,
     estimate_event_probs,
@@ -62,7 +61,7 @@ __all__ = [
     "LambdaParams", "lambda_exact", "lambda_asymptotic", "harper_predictor",
     "SignChangeReport", "count_sign_changes", "exact_correlation", "forcing_events",
     # experiments
-    "ExperimentPlan", "EstimateWithCI", "RunManifest",
+    "ExperimentPlan", "EstimateWithCI",
     "estimate_moment", "moment_table", "estimate_expected_V",
     "expected_v_table", "estimate_sign_change_prob", "estimate_correlation",
     "correlation_table", "estimate_event_probs", "x_ell_grid",

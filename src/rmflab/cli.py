@@ -20,7 +20,6 @@ to stderr as ``rmflab: error: <kind>: <message>``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -40,7 +39,6 @@ from .models import KINDS, ModelSpec, mian_chowla, psi_predictor, sample_path
 from .montecarlo import (
     EstimateWithCI,
     ExperimentPlan,
-    RunManifest,
     correlation_table,
     estimate_event_probs,
     estimate_sign_change_prob,
@@ -69,39 +67,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def record(
-    experiment: str,
-    model: str = "",
-    x=None,
-    N=None,
-    q=None,
-    point=None,
-    est: EstimateWithCI | None = None,
-    n_samples=None,
-    seed=None,
-    flags=None,
-) -> dict:
+def record(experiment: str, model: str = "", est: EstimateWithCI | None = None, flags=None, **columns) -> dict:
+    """A row holding every ``RECORD_FIELDS`` column: ``columns``, then ``est`` and ``flags``; None elsewhere."""
+    r = dict.fromkeys(RECORD_FIELDS)
+    r.update(experiment=experiment, model=model, **columns)
     if est is not None:
-        point = est.point
-        ci_lo, ci_hi = est.ci_lo, est.ci_hi
-        n_samples = est.n_samples
-        seed = est.seed
-    else:
-        ci_lo = ci_hi = None
-    return {
-        "experiment": experiment,
-        "model": model,
-        "x": x,
-        "N": N,
-        "q": q,
-        "point": point,
-        "ci_lo": ci_lo,
-        "ci_hi": ci_hi,
-        "n_samples": n_samples,
-        "seed": seed,
-        "regime_n_small": None if flags is None else flags.n_small,
-        "regime_loglog_ok": None if flags is None else flags.loglog_ok,
-    }
+        r.update(point=est.point, ci_lo=est.ci_lo, ci_hi=est.ci_hi, n_samples=est.n_samples, seed=est.seed)
+    if flags is not None:
+        r.update(regime_n_small=flags.n_small, regime_loglog_ok=flags.loglog_ok)
+    return r
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -109,6 +83,8 @@ def _parse_floats(text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad numeric list {text!r}") from exc
+    if not values:
+        raise ParameterError(f"numeric list {text!r} is empty")
     if not all(math.isfinite(v) for v in values):
         raise ParameterError(f"numeric list {text!r} holds a non-finite value")
     return values
@@ -300,31 +276,32 @@ def _emit(args, records: list[dict], t0: float) -> None:
     documented header and each JSON line names its manifest.
     """
     for r in records:
-        cells = [f"{k}={_fmt(r.get(k))}" for k in RECORD_FIELDS if r.get(k) not in (None, "")]
+        cells = [f"{k}={_fmt(r[k])}" for k in RECORD_FIELDS if r[k] not in (None, "")]
         print("  ".join(cells))
     if not getattr(args, "out", None):
         return
     if not records:
         raise ParameterError("no records to export")
     options = dict(vars(args))
-    manifest = RunManifest(
-        command=options.pop("command"),
-        options=options,
-        code_version=__version__,
-        wall_time_s=time.time() - t0,
-        experiment_seeds={r["experiment"]: r.get("seed") for r in records},
-    )
+    manifest = {
+        "command": options.pop("command"),
+        "options": options,
+        "code_version": __version__,
+        "wall_time_s": time.time() - t0,
+        "experiment_seeds": {r["experiment"]: r["seed"] for r in records},
+        "zero_policy": "zero-skip",
+    }
     manifest_path = args.out + ".manifest.json"
     if args.format == "csv":
-        lines = [CSV_HEADER, *(",".join(_fmt(r.get(k)) for k in RECORD_FIELDS) for r in records)]
+        lines = [CSV_HEADER, *(",".join(_fmt(r[k]) for k in RECORD_FIELDS) for r in records)]
     else:
         ref = os.path.basename(manifest_path)
-        lines = [json.dumps({**{k: r.get(k) for k in RECORD_FIELDS}, "manifest": ref}) for r in records]
+        lines = [json.dumps({**r, "manifest": ref}) for r in records]
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True)
     except OSError as exc:
         raise ResourceError(f"cannot write {exc.filename or args.out}: {exc}") from exc
     print(f"rmflab: wrote {args.out} and {manifest_path}", file=sys.stderr)

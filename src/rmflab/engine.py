@@ -128,21 +128,25 @@ def walk_inputs(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Validate a walk request: x_end, sorted distinct marks and sample indices.
 
-    Raises ``ParameterError`` for an x_end outside [1, 2^63), marks outside
-    [1, x_end] or negative sample indices, and ``ResourceError`` when
-    x_end * samples exceeds ``budget``.
+    Raises ``ParameterError`` for a NaN or infinite x_end or mark, an x_end
+    outside [1, 2^63), marks outside [1, x_end] or negative sample indices,
+    and ``ResourceError`` when x_end * samples exceeds ``budget``.
     """
-    x_end = int(x_end)
+    try:
+        x_end = int(x_end)
+        marks = sorted(set(int(m) for m in marks))
+    except (ValueError, OverflowError) as exc:
+        raise ParameterError(f"x_end and marks must be finite: {exc}") from exc
     if not 1 <= x_end < 2**63:
         raise ParameterError(f"x_end must lie in [1, 2^63), got {x_end}")
-    marks_arr = np.asarray(sorted(set(int(m) for m in marks)), dtype=np.int64)
-    if marks_arr.size == 0:
+    if not marks:
         raise ParameterError("at least one mark is required")
-    if marks_arr[0] < 1 or marks_arr[-1] > x_end:
+    if marks[0] < 1 or marks[-1] > x_end:
         raise ParameterError(
             f"marks must lie in [1, {x_end}], got range "
-            f"[{marks_arr[0]}, {marks_arr[-1]}]"
+            f"[{marks[0]}, {marks[-1]}]"
         )
+    marks_arr = np.asarray(marks, dtype=np.int64)
     samples = np.asarray(sorted(set(int(s) for s in sample_indices)), dtype=np.int64)
     if samples.size == 0:
         raise ParameterError("at least one sample index is required")

@@ -21,9 +21,6 @@ The step-budget guardrail refuses experiments whose largest trace times
 sample count exceeds the budget (default 1e9 steps, overridable per plan
 or via the RMFLAB_BUDGET environment variable).  A budget below 1 is a
 parameter error.
-
-:class:`RunManifest` is what the CLI writes next to its records: the
-command, its resolved options, the code version and the seeds used.
 """
 
 from __future__ import annotations
@@ -108,7 +105,6 @@ class EstimateWithCI:
     se: float
     n_samples: int
     seed: int
-    purpose: str = ""
 
     def __post_init__(self):
         # percentile intervals always bracket the point here; clip defensively
@@ -159,7 +155,7 @@ def bootstrap_estimate(
     else:
         point = float(statistic(values[None])[0])
     if n == 1:
-        return EstimateWithCI(point, point, point, 0.0, 1, master_seed, purpose)
+        return EstimateWithCI(point, point, point, 0.0, 1, master_seed)
     rng = _boot_rng(master_seed, purpose)
     stats = np.empty(n_boot)
     chunk = max(1, int(2e6) // values.size)
@@ -175,7 +171,15 @@ def bootstrap_estimate(
         stats[done : done + take] = statistic(values[idx])
     lo, hi = np.percentile(stats, [2.5, 97.5])
     se = float(stats.std(ddof=1))
-    return EstimateWithCI(point, float(lo), float(hi), se, n, master_seed, purpose)
+    return EstimateWithCI(point, float(lo), float(hi), se, n, master_seed)
+
+
+def _floors(xs: Sequence[float]) -> list[int]:
+    """floor(x) of every x; a NaN or infinite x is a ``ParameterError``."""
+    try:
+        return [int(math.floor(x)) for x in xs]
+    except (ValueError, OverflowError) as exc:
+        raise ParameterError(f"x must be finite, got {list(xs)}") from exc
 
 
 def _walk(
@@ -209,7 +213,7 @@ def moment_table(
     bad = [q for q in qs if not (math.isfinite(q) and q >= 0)]
     if bad:
         raise ParameterError(f"moment orders q must be finite and >= 0, got {bad}")
-    positions = [int(math.floor(x)) for x in xs]
+    positions = _floors(xs)
     res = _walk(plan, positions, census=False)
     out: dict[tuple[float, float], EstimateWithCI] = {}
     for x, j in zip(xs, res.columns(positions)):
@@ -235,7 +239,7 @@ def expected_v_table(
     xs = tuple(x_list)
     if not xs:
         raise ParameterError("expected_v_table needs a nonempty x grid")
-    positions = [int(math.floor(x)) for x in xs]
+    positions = _floors(xs)
     res = _walk(plan, positions, census=True)
     out = {}
     for x, j in zip(xs, res.columns(positions)):
@@ -252,9 +256,7 @@ def estimate_expected_V(plan: ExperimentPlan, x: float) -> EstimateWithCI:
 
 def estimate_sign_change_prob(plan: ExperimentPlan, x: float, N: int) -> EstimateWithCI:
     """P(at least one sign change of M(u) for integer u in (x, e^N x])."""
-    if not (math.isfinite(x) and x >= 1):
-        raise ParameterError(f"x must be finite and >= 1, got {x}")
-    a = int(math.floor(x))
+    a = _floors([x])[0]
     b = grid_positions(x, N)[-1]  # > a, as e^N x >= e x > x + 1
     purpose = f"signprob|model={plan.model.kind}|x={x!r}|N={N}"
     res = _walk(plan, [a, b], census=True, first_change=True)
@@ -339,12 +341,10 @@ def correlation_table(
     y = _checkpoint_matrix(plan, x, top) if top else None
     out = {}
     for n, m in pairs:
-        purpose = f"corr|model={plan.model.kind}|x={x!r}|n={n}|m={m}"
         if n == m:
-            out[(n, m)] = EstimateWithCI(
-                1.0, 1.0, 1.0, 0.0, plan.samples, plan.master_seed, purpose
-            )
+            out[(n, m)] = EstimateWithCI(1.0, 1.0, 1.0, 0.0, plan.samples, plan.master_seed)
             continue
+        purpose = f"corr|model={plan.model.kind}|x={x!r}|n={n}|m={m}"
         lo, hi = sorted((n, m))
         out[(n, m)] = bootstrap_estimate(
             y[:, [lo - 1, hi - 1]], plan.master_seed, purpose, plan.n_boot, statistic=_pearson
@@ -358,14 +358,3 @@ def estimate_correlation(
     """Empirical Pearson correlation of (Y_n, Y_m) across samples."""
     return correlation_table(plan, x, [(n, m)])[(n, m)]
 
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run's numbers bit-exactly."""
-
-    command: str
-    options: dict
-    code_version: str
-    wall_time_s: float
-    experiment_seeds: dict
-    zero_policy: str = "zero-skip"

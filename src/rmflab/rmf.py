@@ -112,5 +112,5 @@ def grid_positions(x: float, N: int) -> list[int]:
         raise ParameterError(f"N must be >= 1, got {N}")
     try:
         return [int(math.floor(math.exp(n) * x)) for n in range(1, N + 1)]
-    except OverflowError as exc:
-        raise ParameterError(f"e^N x overflows at N={N}, x={x}") from exc
+    except (OverflowError, ValueError) as exc:
+        raise ParameterError(f"e^N x overflows or is NaN at N={N}, x={x}") from exc

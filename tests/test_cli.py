@@ -10,10 +10,11 @@ import pytest
 
 from rmflab import models, sieve
 from rmflab.analysis import LambdaParams, lambda_asymptotic, lambda_exact
-from rmflab.cli import CSV_HEADER, run
+from rmflab.cli import CSV_HEADER, RECORD_FIELDS, run
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+MANIFEST_KEYS = {"command", "options", "code_version", "wall_time_s", "experiment_seeds", "zero_policy"}
 
 
 def zero_walk(model, master_seed, x_end, marks, census, first_change, terms, samples):
@@ -96,11 +97,14 @@ class TestExitCodes:
             ["moments", "--x", "103", "--q", "-1"],
             ["simulate", "--x", "100", "--checkpoints", "1.5,7", "--seed", "1"],
             ["avg-v", "--grid-eps", "0.01", "--ell-max", "300", "--xmax", "1e4"],
+            ["lambda", "--N", "3", "--x", "1e3", "--q", ""],
+            ["signprob", "--x", "", "--N", "2"],
         ],
         ids=["signprob-x-nan", "signprob-x-inf", "signprob-N-0", "mertens-x-nan", "lambda-x-overflow",
              "signprob-x-past-int64", "signprob-n-boot-0", "events-N-0", "signprob-N-overflow",
              "correlations-max-m-equals-n", "correlations-max-m-below-n", "signprob-budget-negative",
-             "moments-q-negative", "simulate-checkpoint-fractional", "avg-v-grid-overflow"],
+             "moments-q-negative", "simulate-checkpoint-fractional", "avg-v-grid-overflow",
+             "lambda-q-empty", "signprob-x-empty"],
     )
     def test_bad_number_exits_2(self, argv, capsys):
         if argv[0] not in ("mertens", "lambda", "simulate"):  # those without sampling options
@@ -212,6 +216,22 @@ def test_readme_examples_exit_0(monkeypatch, tmp_path):
     assert len(examples) == 10
     codes = {shlex.join(argv): run(argv) for argv in examples}
     assert {line: code for line, code in codes.items() if code} == {}
+
+
+def test_readme_records_and_manifest_schema(monkeypatch, tmp_path):
+    # every record holds exactly the documented columns, in header order, and
+    # every manifest exactly the documented keys
+    monkeypatch.setattr(models, "_walk_run", zero_walk, raising=False)
+    examples = [argv for argv in readme_examples() if argv[0] not in ("selftest", "models")]
+    for k, argv in enumerate(examples):
+        if "--out" in argv:
+            argv = argv[: argv.index("--out")] + argv[argv.index("--out") + 2 :]
+        out = tmp_path / f"{k}.jsonl"
+        assert run([*argv, "--out", str(out), "--format", "jsonl"]) == 0, shlex.join(argv)
+        keys = {tuple(json.loads(line)) for line in out.read_text().splitlines()}
+        assert keys == {(*RECORD_FIELDS, "manifest")}, shlex.join(argv)
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert set(manifest) == MANIFEST_KEYS, shlex.join(argv)
 
 
 class TestExport:
@@ -359,10 +379,10 @@ class TestSubcommandOptions:
 
 class TestExportErrors:
     def test_empty_records_rejected(self, tmp_path, capsys):
-        # an empty q list gives no records: nothing to write exits 2
+        # an empty q list is rejected before anything runs: exit 2, nothing written
         out = tmp_path / "x.csv"
         assert run(["lambda", "--N", "3", "--x", "1e3", "--q", "", "--out", str(out)]) == 2
-        assert "rmflab: error: parameter: no records to export" in capsys.readouterr().err
+        assert "rmflab: error: parameter: numeric list '' is empty" in capsys.readouterr().err
         assert not out.exists()
         # a records file in a missing directory exits 3
         assert run(["mertens", "--x", "100", "--out", str(tmp_path / "nodir" / "x.csv")]) == 3

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from rmflab import montecarlo
+from rmflab import engine, models, montecarlo, sieve
 from rmflab.analysis import exact_correlation
 from rmflab.engine import run_walks
 from rmflab.errors import ParameterError, ResourceError
-from rmflab.models import ModelSpec
+from rmflab.models import ModelSpec, sample_path
 from rmflab.montecarlo import (
     EstimateWithCI,
     ExperimentPlan,
@@ -24,8 +24,8 @@ from rmflab.montecarlo import (
     regime_flags,
     x_ell_grid,
 )
-from rmflab.rmf import RmfWordSource, grid_positions
-from rmflab.sieve import squarefree_count
+from rmflab.rmf import RmfWordSource, SignOracle, grid_positions, rmf_trace
+from rmflab.sieve import mertens_trace, squarefree_count
 
 from oracle import AllPlusWordSource
 
@@ -49,7 +49,7 @@ def looped_bootstrap(values, seed, purpose, n_boot, statistic, point):
     n = values.shape[0]
     stats = np.array([statistic(values[rng.integers(0, n, size=n)]) for _ in range(n_boot)])
     lo, hi = np.percentile(stats, [2.5, 97.5])
-    return EstimateWithCI(point, float(lo), float(hi), float(stats.std(ddof=1)), n, seed, purpose)
+    return EstimateWithCI(point, float(lo), float(hi), float(stats.std(ddof=1)), n, seed)
 
 
 @pytest.fixture
@@ -64,6 +64,44 @@ def walk_ends(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "collect_walks", counted)
     return ends
+
+
+@pytest.fixture
+def segment_loops(monkeypatch):
+    """The x_end of every walk that reaches its segment loop, in call order."""
+    ends = []
+    length = engine.segment_length_for
+
+    def counted(x_end):
+        ends.append(x_end)
+        return length(x_end)
+
+    for module in (engine, models, sieve):
+        monkeypatch.setattr(module, "segment_length_for", counted)
+    return ends
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: exact_correlation(x, 1, 2),
+        lambda x: moment_table(plan(samples=4), [x], [1.0]),
+        lambda x: expected_v_table(plan(samples=4), [x]),
+        lambda x: correlation_table(plan(samples=4), x, [(1, 2)]),
+        lambda x: estimate_sign_change_prob(plan(samples=4), x, 2),
+        lambda x: sample_path(ModelSpec("rmf"), x, 1),
+        lambda x: mertens_trace(x),
+        lambda x: grid_positions(x, 2),
+        lambda x: rmf_trace(SignOracle(1), x),
+    ],
+    ids=["exact_correlation", "moment_table", "expected_v_table", "correlation_table",
+         "estimate_sign_change_prob", "sample_path", "mertens_trace", "grid_positions", "rmf_trace"],
+)
+def test_nonfinite_x_is_a_parameter_error_before_walking(call, x, segment_loops):
+    with pytest.raises(ParameterError):
+        call(x)
+    assert segment_loops == []
 
 
 class TestWalkColumns:
@@ -290,7 +328,9 @@ class TestCorrelation:
             assert table[(n, m)] == estimate_correlation(p, 1000.0, n, m)
         assert walk_ends[1:] == [grid_positions(1000.0, max(n, m))[-1] for n, m in pairs if n != m]
         # the caller's order names the bootstrap stream, the statistic is symmetric
-        assert table[(4, 2)].purpose.endswith("|n=4|m=2")
+        cols = montecarlo._checkpoint_matrix(p, 1000.0, 4)[:, [1, 3]]
+        purpose = "corr|model=rmf|x=1000.0|n=4|m=2"
+        assert table[(4, 2)] == bootstrap_estimate(cols, 3, purpose, 100, statistic=montecarlo._pearson)
         assert table[(4, 2)].point == table[(2, 4)].point
 
     def test_table_matches_per_resample_pearson(self):
@@ -299,7 +339,8 @@ class TestCorrelation:
         for (n, m), est in correlation_table(p, 1000.0, [(1, 3), (3, 2)]).items():
             lo, hi = sorted((n, m))
             cols = y[:, [lo - 1, hi - 1]]
-            assert est == looped_bootstrap(cols, 11, est.purpose, 200, pearson, pearson(cols))
+            purpose = f"corr|model=rmf|x=1000.0|n={n}|m={m}"
+            assert est == looped_bootstrap(cols, 11, purpose, 200, pearson, pearson(cols))
 
     def test_distant_pair_decays(self):
         est = estimate_correlation(plan(samples=1500, seed=7), 1000.0, 1, 6)

@@ -41,6 +41,14 @@ def test_gate_builds_every_plan_in_one_place():
     assert text.count("ExperimentPlan(") == 1
 
 
+def test_no_module_defines_run_manifest():
+    # cli._emit builds the run manifest as the plain dict it writes
+    for path in (ROOT / "src" / "rmflab").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        classes = [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        assert "RunManifest" not in classes, path.name
+
+
 def test_cli_writes_results_in_one_place():
     tree = ast.parse((ROOT / "src" / "rmflab" / "cli.py").read_text(encoding="utf-8"))
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
