@@ -20,8 +20,10 @@ A claim ``WORKLOAD:METRIC:GAIN`` is met when the change wins at least 9
 of the 10 pairs, its median is better than the parent's by more than the
 parent's interquartile range, and by at least the fraction GAIN.
 
-The report also records each checkout's line count of ``src/rmflab`` and
-the git commit its runs report (null for a checkout without ``.git``).
+The report also records each checkout's line count of ``src/rmflab``, the
+git commit its runs report and whether its tree has uncommitted changes,
+since a run from a changed tree reports the commit it started from (both
+null for a checkout without ``.git``).
 """
 
 from __future__ import annotations
@@ -49,6 +51,15 @@ def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]
             f"{checkout}: {workload} run exited with {done.returncode}: {done.stderr.strip()}"
         )
     return json.loads(lines[-2])["environment"], json.loads(lines[-1])
+
+
+def git_dirty(checkout: Path) -> bool | None:
+    """Whether ``git status --porcelain`` lists a change; None without ``.git``."""
+    if not (checkout / ".git").exists():
+        return None
+    done = subprocess.run(["git", "status", "--porcelain"], cwd=checkout,
+                          capture_output=True, text=True, check=True)
+    return bool(done.stdout.strip())
 
 
 def source_lines(checkout: Path) -> int:
@@ -114,6 +125,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    dirty = {side: git_dirty(path) for side, path in sides.items()}
 
     report_workloads = {}
     commits = {}
@@ -154,6 +166,7 @@ def main(argv=None) -> int:
         "description": f"{args.description} {description}".strip(),
         "src_rmflab_lines": {**lines, "delta": lines["change"] - lines["parent"]},
         "commits": commits,
+        "dirty": dirty,
         "workloads": report_workloads,
     }
     if args.claim:

@@ -267,9 +267,9 @@ def crit_mertens_baseline(seed: int, workers: int) -> tuple[bool, str]:
         tr.sign_change_count == pinned.MERTENS_1E6_CHANGES
         and tr.final_value == pinned.MERTENS_1E6_FINAL
     )
-    small = mertens_trace(10)
+    small = mertens_trace(10, list(range(1, 11)))
     ok &= small.final_value == -1
-    rep = count_sign_changes(_mertens_values(10))
+    rep = count_sign_changes(small.checkpoint_values)
     first_change_u = rep.positions[0] + 1 if rep.positions else None
     ok &= first_change_u == 3
     return ok, (
@@ -277,13 +277,6 @@ def crit_mertens_baseline(seed: int, workers: int) -> tuple[bool, str]:
         f"M(1e6)={tr.final_value} (pinned {pinned.MERTENS_1E6_FINAL}), "
         f"M(10)={small.final_value}, first change at u={first_change_u}"
     )
-
-
-def _mertens_values(x: int) -> list[int]:
-    from .sieve import mobius_sieve
-
-    mu = mobius_sieve(x)
-    return list(np.cumsum(mu[1:].astype(np.int64)))
 
 
 # The child's own peak RSS is VmHWM: ru_maxrss would also carry the

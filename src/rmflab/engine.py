@@ -1,32 +1,33 @@
 """Streaming multi-sample partial-sum walker.
 
 The engine evaluates, for many Monte Carlo samples at once, walks of the
-form M(u) = sum_{n<=u} X_n where each X_n is (weight) * (Rademacher sign)
-or zero.  Signs come from the counter-based generator in :mod:`signs`:
-sample ``s`` reads bit ``s % 64`` of a hash word belonging to block
-``s // 64``, so one uint64 XOR pass accumulates the sign parity of 64
-samples simultaneously.
+form M(u) = sum_{n<=u} X_n where each X_n is (scale) * (Rademacher sign),
+with a scale of 1, 0 or a float magnitude.  Signs come from the
+counter-based generator in :mod:`signs`: sample ``s`` reads bit ``s % 64``
+of a hash word belonging to block ``s // 64``, so one uint64 XOR pass
+accumulates the sign parity of 64 samples simultaneously.
 
-A *source* adapts a concrete model to the engine.  Its
-``is_float_walk()`` says whether its steps are weighted floats or +-1/0
-integers, and ``begin(x_end)`` returns the state every segment of a walk
-to ``x_end`` shares (prime tables, premixed prime hashes), or None.  It
-provides, per segment [lo, hi) of integers:
+A *source* adapts a concrete model to the engine.  Its ``float_walk``
+class attribute says whether its steps are float magnitudes or +-1/0
+integers.  It provides three calls:
 
+``begin(x_end) -> state``
+    what every segment of a walk to ``x_end`` shares (prime tables,
+    premixed prime hashes), or None;
 ``segment(state, lo, hi) -> ctx``
-    shared per-segment data (factorizations, premixed hashes, weights);
-``block_words(ctx, block) -> (words, active)``
-    uint64 sign-parity words for one 64-sample block, plus an optional
-    bool mask of indices with a nonzero step (unweighted sources only: a
-    weighted source returns None and puts any zero step in its weights);
-``weights(ctx) -> float array or None``
-    per-index magnitudes (None means the pure +-1/0 walk).
+    shared data for the integers [lo, hi) (factorizations, premixed
+    hashes, magnitudes);
+``block_words(ctx, block) -> (words, scale)``
+    uint64 sign-parity words for one 64-sample block, and the scale of
+    each step: None when every step is +-1, a bool mask of the nonzero
+    steps, or (float walks) the float64 magnitudes.  A lane's step is its
+    sign times ``scale``.
 
 Every lane walks each segment in pieces of ``PIECE`` integers through
 buffers allocated once per call.  An integer step is decoded from its
 lane bit into an int8 +-1/0 and the piece goes to
 :func:`census.walk_steps`, which takes partial sums only where the piece
-has a mark or can reach zero.  A float step is the weight with the lane
+has a mark or can reach zero.  A float step is the magnitude with the lane
 bit moved into its sign bit, which negates it exactly.  A float piece
 carries the running value into its first step before its ``np.cumsum``,
 so a float walk is the plain sequential sum of its steps.  Outputs are
@@ -111,18 +112,6 @@ def segment_length_for(x_end: int) -> int:
     return max(MIN_SEGMENT, isqrt(max(int(x_end), 1)))
 
 
-def check_budget(x_end: int, n_samples: int, budget: int | None) -> None:
-    if budget is None:
-        return
-    steps = int(x_end) * int(n_samples)
-    if steps > budget:
-        raise ResourceError(
-            f"run needs {steps} walk steps (x_end={x_end} * samples={n_samples}) "
-            f"but the budget is {budget}; raise it explicitly or via RMFLAB_BUDGET",
-            required=steps,
-        )
-
-
 def walk_inputs(
     x_end: int, marks: Sequence[int], sample_indices: Sequence[int], budget: int | None
 ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -147,12 +136,20 @@ def walk_inputs(
             f"[{marks[0]}, {marks[-1]}]"
         )
     marks_arr = np.asarray(marks, dtype=np.int64)
-    samples = np.asarray(sorted(set(int(s) for s in sample_indices)), dtype=np.int64)
+    samples = np.sort(np.asarray(sample_indices, dtype=np.int64).reshape(-1))
     if samples.size == 0:
         raise ParameterError("at least one sample index is required")
     if samples[0] < 0:
         raise ParameterError("sample indices must be >= 0")
-    check_budget(x_end, samples.size, budget)
+    # sorted, so a repeat equals its predecessor (np.unique: see block_starts)
+    samples = samples[np.diff(samples, prepend=-1) != 0]
+    steps = x_end * samples.size
+    if budget is not None and steps > budget:
+        raise ResourceError(
+            f"run needs {steps} walk steps (x_end={x_end} * samples={samples.size}) "
+            f"but the budget is {budget}; raise it explicitly or via RMFLAB_BUDGET",
+            required=steps,
+        )
     return x_end, marks_arr, samples
 
 
@@ -204,7 +201,7 @@ def run_walks(
     blocks = group_blocks(samples)
     state = source.begin(x_end)
     n_rows, k = samples.size, marks.size
-    float_walk = source.is_float_walk()
+    float_walk = source.float_walk
     values = np.zeros((n_rows, k), dtype=np.float64 if float_walk else np.int64)
     changes = np.zeros((n_rows, k), dtype=np.int64) if census else None
     running = np.zeros(n_rows, dtype=np.float64 if float_walk else np.int64)
@@ -227,16 +224,15 @@ def run_walks(
         hi = min(lo + seg_len, x_end + 1)
         ctx = None  # free the last segment's context before building the next
         ctx = source.segment(state, lo, hi)
-        w = source.weights(ctx)
-        if w is not None:
-            w_bits = w.view(np.uint64)
         row = 0
         for block, lanes in blocks:
             if stopped[row : row + len(lanes)].all():
                 row += len(lanes)
                 continue
-            words, active = source.block_words(ctx, block)
-            active_i8 = None if active is None else active.view(np.int8)
+            words, scale = source.block_words(ctx, block)
+            if scale is not None:
+                # a mask multiplies int8 steps; magnitudes take the sign bit
+                scale = scale.view(np.uint64 if float_walk else np.int8)
             for lane in lanes:
                 carry = int(carry_sign[row])
                 acc = int(change_acc[row])
@@ -249,25 +245,25 @@ def run_walks(
                     t = scratch[: b - a]
                     m = walk[: b - a]
                     piece_carry, piece_start = carry, running[row]
-                    if w is None:
+                    if not float_walk:
                         np.right_shift(words[span], lane, out=t)
                         t &= one
                         bit = step8[: b - a]
                         bit[:] = t
                         np.multiply(bit, np.int8(-2), out=bit)
                         bit += np.int8(1)
-                        if active_i8 is not None:
-                            bit *= active_i8[span]
+                        if scale is not None:
+                            bit *= scale[span]
                         carry, acc, running[row] = walk_steps(
                             bit, a, piece_start, marks, carry, acc, values[row], changes_row, walk
                         )
                     else:
                         # flipping a float's sign bit negates it exactly, so
-                        # each step is exactly +-w; carrying M in through the
-                        # first step makes the walk the plain sequential sum
+                        # each step is exactly +-scale; carrying M in through
+                        # the first step makes the walk the plain sequential sum
                         np.left_shift(words[span], to_sign_bit, out=t)
                         t &= SIGN_BIT
-                        t ^= w_bits[span]
+                        t ^= scale[span]
                         step = t.view(np.float64)
                         step[0] += piece_start
                         step.cumsum(out=m)
@@ -280,7 +276,7 @@ def run_walks(
                         # piece; later marks report the walk as it stood
                         # there.  walk_steps may have skipped the piece's
                         # partial sums, so they are taken again here.
-                        if w is None:
+                        if not float_walk:
                             bit.cumsum(dtype=m.dtype, out=m)
                             m += m.dtype.type(piece_start)
                         at, _ = change_positions_chunk(m, piece_carry, a)

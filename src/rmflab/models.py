@@ -181,9 +181,7 @@ class IidWordSource:
     """Engine source for the iid +-1 walk (index-keyed sign family)."""
 
     master_seed: int
-
-    def is_float_walk(self) -> bool:
-        return False
+    float_walk = False
 
     def begin(self, x_end: int):
         return None
@@ -195,24 +193,20 @@ class IidWordSource:
         key = signs.block_key(self.master_seed, block, signs.SALT_INDEX)
         return signs.keyed_words(ctx["mn"], key), None
 
-    def weights(self, ctx):
-        return None
-
 
 @dataclass(frozen=True)
 class HarmonicWordSource(IidWordSource):
     """iid signs damped by 1/sqrt(n)."""
 
-    def is_float_walk(self) -> bool:
-        return True
+    float_walk = True
 
     def segment(self, state, lo: int, hi: int):
         ctx = super().segment(state, lo, hi)
         ctx["w"] = 1.0 / np.sqrt(np.arange(lo, hi, dtype=np.float64))
         return ctx
 
-    def weights(self, ctx):
-        return ctx["w"]
+    def block_words(self, ctx, block: int):
+        return super().block_words(ctx, block)[0], ctx["w"]
 
 
 def _sidon_phase(master_seed: int, sample_index: int) -> float:

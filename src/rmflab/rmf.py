@@ -49,9 +49,7 @@ class RmfWordSource:
 
     master_seed: int
     hook: str = "hash"
-
-    def is_float_walk(self) -> bool:
-        return False
+    float_walk = False
 
     def begin(self, x_end: int):
         primes = primes_up_to(max(2, isqrt(x_end)))
@@ -65,7 +63,7 @@ class RmfWordSource:
                 "mc": signs.premix(data.big_prime)}
 
     def block_words(self, ctx, block: int):
-        """Sign-parity words of one block, exact on every squarefree index."""
+        """Sign-parity words of one block, exact on squarefree n; the scale is that mask."""
         data = ctx["data"]
         sqf = data.squarefree
         if self.hook == "minus":
@@ -76,9 +74,6 @@ class RmfWordSource:
         words = fold_small_primes(np.bitwise_xor, hsmall, data.small, data.lo, data.hi)
         words[data.big] ^= signs.keyed_words(ctx["mc"], key)
         return words, sqf
-
-    def weights(self, ctx):
-        return None
 
 
 def rmf_trace(

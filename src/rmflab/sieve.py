@@ -65,33 +65,15 @@ def primes_up_to(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=np.flatnonzero(sieve).astype(np.int64))
 
 
-def mobius_sieve(limit: int) -> np.ndarray:
-    """mu(0..limit) as int8 (mu(0) = 0 by convention)."""
-    if limit < 1:
-        raise ParameterError("mobius sieve needs limit >= 1")
-    mu = np.ones(limit + 1, dtype=np.int8)
-    prod = np.ones(limit + 1, dtype=np.int64)
-    for p in range(2, isqrt(limit) + 1):
-        if mu[p] != 0 and prod[p] == 1:  # p survived marking, hence prime
-            mu[p::p] *= -1
-            prod[p::p] *= p
-            mu[p * p :: p * p] = 0
-    # a residual factor > sqrt(limit) is a single large prime: one more -1
-    large = prod < np.arange(limit + 1, dtype=np.int64)
-    mu[large] *= -1
-    mu[0] = 0
-    return mu
-
-
 def squarefree_count(x: int) -> int:
-    """Q(x): number of squarefree integers <= x (exact)."""
+    """Q(x): number of squarefree integers <= x (exact), with mu(d) sieved for d <= sqrt(x)."""
     if x < 1:
         raise ParameterError(f"squarefree_count needs x >= 1, got {x}")
     x = int(x)
     r = isqrt(x)
-    mu = mobius_sieve(r)
+    data = segment_radical_data(1, r + 1, primes_up_to(max(2, isqrt(r))), want_parity=True)
     d = np.arange(1, r + 1, dtype=np.int64)
-    return int(np.sum(mu[1:].astype(np.int64) * (x // (d * d))))
+    return int(np.sum(_mobius(data).astype(np.int64) * (x // (d * d))))
 
 
 WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -131,7 +113,8 @@ class SegmentData:
     fields are filled depends on the walk that asked (``want_parity`` of
     :func:`segment_radical_data`):
 
-    - parity walks (the Mobius walk, forced-sign hooks) get
+    - parity readers (the Mobius walk, forced-sign hooks,
+      :func:`squarefree_count`) get
       ``omega_parity``, the parity of the number of distinct prime
       factors, meaningful on squarefree entries only; ``big`` and
       ``big_prime`` are None;
@@ -215,6 +198,14 @@ def segment_radical_data(
     )
 
 
+def _mobius(data: SegmentData) -> np.ndarray:
+    """mu(n) as int8 for each n of a parity segment: 1 - 2 * parity on squarefree n, else 0."""
+    mu = data.omega_parity.view(np.int8) * np.int8(-2)
+    mu += 1
+    mu *= data.squarefree
+    return mu
+
+
 def mertens_trace(
     x: int, checkpoints: list[int] | None = None, *, budget: int | None = None
 ) -> PartialSumTrace:
@@ -241,11 +232,8 @@ def mertens_trace(
     while lo <= x:
         hi = min(lo + seg, x + 1)
         data = segment_radical_data(lo, hi, primes, want_parity=True)
-        mu = data.omega_parity.view(np.int8) * np.int8(-2)
-        mu += 1
-        mu *= data.squarefree
         carry, acc, total = walk_steps(
-            mu, lo, total, marks, carry, acc, values[0], changes[0], walk
+            _mobius(data), lo, total, marks, carry, acc, values[0], changes[0], walk
         )
         lo = hi
     res = WalkResult(marks, values, changes)

@@ -96,5 +96,4 @@ def keyed_words(premixed: np.ndarray, key: int) -> np.ndarray:
 
 def uniform01(master_seed: int, sample_index: int, salt: int) -> float:
     """Deterministic uniform draw on [0, 1) for one sample (53-bit)."""
-    word = mix64((master_seed + GOLDEN * sample_index + salt) & MASK64)
-    return (word >> 11) * (1.0 / (1 << 53))
+    return (block_key(master_seed, sample_index, salt) >> 11) * (1.0 / (1 << 53))

@@ -4,10 +4,11 @@ import pytest
 from rmflab import census, engine
 from rmflab.engine import run_walks
 from rmflab.errors import ParameterError, ResourceError
-from rmflab.models import IidWordSource, ModelSpec, collect_walks
+from rmflab.models import HarmonicWordSource, IidWordSource, ModelSpec, collect_walks
 from rmflab.rmf import RmfWordSource
+from rmflab.sieve import primes_up_to
 
-from oracle import harmonic_walks, sign_words_array
+from oracle import harmonic_walks, radical_reference, sign_words_array
 
 
 def test_marks_validation():
@@ -26,6 +27,21 @@ def test_marks_validation():
 def test_nonpositive_workers_rejected(workers):
     with pytest.raises(ParameterError):
         collect_walks(ModelSpec("iid_rademacher"), 10, [5], [0], 1, workers=workers)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 500), (10**6 - 123, 10**6 + 877)])
+def test_block_words_scale(lo, hi):
+    # each step is its lane's sign times the scale block_words returns
+    rmf = RmfWordSource(master_seed=5)
+    _, scale = rmf.block_words(rmf.segment(rmf.begin(hi - 1), lo, hi), 2)
+    sqf = radical_reference(lo, hi, primes_up_to(1000))[0]
+    assert not rmf.float_walk and scale.dtype == bool and np.array_equal(scale, sqf)
+    iid, harmonic = IidWordSource(master_seed=5), HarmonicWordSource(master_seed=5)
+    iid_words, iid_scale = iid.block_words(iid.segment(None, lo, hi), 2)
+    assert not iid.float_walk and iid_scale is None
+    words, scale = harmonic.block_words(harmonic.segment(None, lo, hi), 2)
+    assert harmonic.float_walk and np.array_equal(words, iid_words)
+    assert scale.tobytes() == (1.0 / np.sqrt(np.arange(lo, hi, dtype=np.float64))).tobytes()
 
 
 def test_budget_guardrail():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,20 @@ class TestBudget:
         with pytest.raises(ResourceError) as err:
             estimate_expected_V(p, 10**6)
         assert err.value.required == 10**9
+
+    def test_refusal_memory_is_a_few_index_arrays(self):
+        # the sample indices are sorted and deduplicated in numpy before the
+        # budget refuses; a Python set of them traced about 10x the array
+        n = 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError) as err:
+                moment_table(plan(samples=n, budget=10**9), [1e4], [1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.required == 10**10
+        assert peak < 5 * 8 * n, f"{peak / 2**20:.1f} MiB traced"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("RMFLAB_BUDGET", "1e5")

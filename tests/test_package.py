@@ -60,3 +60,17 @@ def test_cli_writes_results_in_one_place():
         and any(isinstance(n, ast.Name) and n.id == "_emit" for n in ast.walk(f))
     ]
     assert emitting == []
+
+
+def test_sources_have_one_scale_channel():
+    # a source declares float_walk and returns each step's scale from
+    # block_words; mu has one sieve, the segmented radical sieve
+    for path in (ROOT / "src" / "rmflab").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = [
+            f.name
+            for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+            for f in c.body if isinstance(f, ast.FunctionDef)
+        ]
+        assert not {"is_float_walk", "weights"} & set(methods), path.name
+    assert not hasattr(rmflab.sieve, "mobius_sieve")

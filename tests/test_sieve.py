@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import sympy
 
-from rmflab import census, engine
+from rmflab import census, engine, sieve
 from rmflab.errors import ParameterError
 from rmflab.sieve import (
     PrimeTable,
     mertens_trace,
-    mobius_sieve,
     primes_up_to,
     segment_radical_data,
     squarefree_count,
@@ -54,8 +53,12 @@ class TestPrimes:
 class TestSquarefreeCount:
     def test_examples(self):
         assert squarefree_count(1) == 1
+        assert [squarefree_count(x) for x in (2, 3, 4)] == [2, 3, 3]
         assert squarefree_count(10) == 7  # 1,2,3,5,6,7,10
         assert squarefree_count(20) == 13
+        # Q(10^n) as tabulated in OEIS A071172
+        assert squarefree_count(10**8) == 60_792_694
+        assert squarefree_count(10**12) == 607_927_102_274
 
     def test_against_enumeration(self):
         for x in (2, 37, 100, 1000):
@@ -72,9 +75,10 @@ class TestSquarefreeCount:
 
 class TestMobius:
     def test_against_sympy(self):
-        mu = mobius_sieve(1500)
-        for n in range(1, 1501):
-            assert int(mu[n]) == int(sympy.mobius(n))
+        # the mu(d) that squarefree_count reads, from one parity segment
+        data = segment_radical_data(1, 1501, primes_up_to(38), want_parity=True)
+        mu = sieve._mobius(data)
+        assert mu.tolist() == [int(sympy.mobius(n)) for n in range(1, 1501)]
 
 
 class TestFactorSegment:
@@ -170,8 +174,7 @@ class TestMertens:
     def test_final_values_match_mu_sums(self):
         # one trace checkpointed at every integer u <= 1e4 against an
         # independent per-integer mu accumulation
-        mu = mobius_sieve(10**4)
-        partial = np.cumsum(mu[1:].astype(np.int64))
+        partial = mertens_walk(10**4)
         tr = mertens_trace(10**4, checkpoints=list(range(1, 10**4 + 1)))
         assert list(tr.checkpoint_values) == partial.tolist()
 
@@ -182,8 +185,7 @@ class TestMertens:
 
     def test_checkpoints(self):
         tr = mertens_trace(100, checkpoints=[1, 10, 50])
-        mu = mobius_sieve(100)
-        partial = np.cumsum(mu[1:].astype(np.int64))
+        partial = mertens_walk(100)
         assert tr.checkpoint_values == (partial[0], partial[9], partial[49])
 
     def test_checkpoints_inside_skipped_chunks(self, monkeypatch):
@@ -214,9 +216,7 @@ class TestMertens:
         assert sum(scanned) < x  # x when every segment is walked densely
 
     def test_census_matches_direct_count(self):
-        mu = mobius_sieve(5000)
-        partial = np.cumsum(mu[1:].astype(np.int64))
-        s = np.sign(partial)
+        s = np.sign(mertens_walk(5000))
         nz = s[s != 0]
         naive = int(np.count_nonzero(nz[1:] != nz[:-1]))
         assert mertens_trace(5000).sign_change_count == naive

@@ -85,3 +85,6 @@ def test_lane_bits_unbiased_over_values():
 def test_uniform01_range(seed, idx):
     u = signs.uniform01(seed, idx, signs.SALT_PRIME)
     assert 0.0 <= u < 1.0
+    # the top 53 bits of the sample's hash, as the Sidon phases have always read
+    word = signs.mix64((seed + signs.GOLDEN * idx + signs.SALT_PRIME) & signs.MASK64)
+    assert u == (word >> 11) / 2.0**53
