@@ -32,9 +32,9 @@ bit moved into its sign bit, which negates it exactly.  A float piece
 carries the running value into its first step before its ``np.cumsum``,
 so a float walk is the plain sequential sum of its steps.  Outputs are
 therefore reproducible bit-for-bit for any segment or piece length, and
-no cross-sample float reduction happens here.  The engine walks in the
-calling process; :func:`models.collect_walks` splits samples between
-processes.
+no cross-sample float reduction happens here.  The engine walks a
+``range`` of samples in the calling process, block by block
+(:func:`block_runs`); :func:`models.collect_walks` cuts it between processes.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class PartialSumTrace:
 class WalkResult:
     """Per-sample walk values and cumulative sign-change counts at marks.
 
-    ``values[i, j]`` is M(marks[j]) for the i-th smallest requested sample
-    index; ``changes[i, j]`` (census runs only) counts sign changes
+    ``values[i, j]`` is M(marks[j]) for sample ``start + i`` of the walk's
+    sample range; ``changes[i, j]`` (census runs only) counts sign changes
     completing in [1, marks[j]], so windows difference exactly:
     V(a,b] = V(b) - V(a).
     """
@@ -113,13 +113,15 @@ def segment_length_for(x_end: int) -> int:
 
 
 def walk_inputs(
-    x_end: int, marks: Sequence[int], sample_indices: Sequence[int], budget: int | None
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Validate a walk request: x_end, sorted distinct marks and sample indices.
+    x_end: int, marks: Sequence[int], samples: range, budget: int | None
+) -> tuple[int, np.ndarray, range]:
+    """Validate a walk request: x_end, sorted distinct marks and a sample range.
 
     Raises ``ParameterError`` for a NaN or infinite x_end or mark, an x_end
-    outside [1, 2^63), marks outside [1, x_end] or negative sample indices,
-    and ``ResourceError`` when x_end * samples exceeds ``budget``.
+    outside [1, 2^63), marks outside [1, x_end] or samples other than a
+    ``range`` with step 1 and 0 <= start < stop <= 2^63, and
+    ``ResourceError`` (before anything is allocated) when x_end * samples
+    exceeds ``budget``; ``MemoryError`` when no array can hold the rows.
     """
     try:
         x_end = int(x_end)
@@ -135,54 +137,56 @@ def walk_inputs(
             f"marks must lie in [1, {x_end}], got range "
             f"[{marks[0]}, {marks[-1]}]"
         )
-    marks_arr = np.asarray(marks, dtype=np.int64)
-    samples = np.sort(np.asarray(sample_indices, dtype=np.int64).reshape(-1))
-    if samples.size == 0:
-        raise ParameterError("at least one sample index is required")
-    if samples[0] < 0:
-        raise ParameterError("sample indices must be >= 0")
-    # sorted, so a repeat equals its predecessor (np.unique: see block_starts)
-    samples = samples[np.diff(samples, prepend=-1) != 0]
-    steps = x_end * samples.size
+    if not (isinstance(samples, range) and samples.step == 1
+            and 0 <= samples.start < samples.stop <= 2**63):
+        raise ParameterError(f"samples must be a range(start, stop) with 0 <= start < stop "
+                             f"<= 2^63, got {samples!r:.80}")
+    rows = samples.stop - samples.start  # len() overflows at 2^63
+    steps = x_end * rows
     if budget is not None and steps > budget:
         raise ResourceError(
-            f"run needs {steps} walk steps (x_end={x_end} * samples={samples.size}) "
+            f"run needs {steps} walk steps (x_end={x_end} * samples={rows}) "
             f"but the budget is {budget}; raise it explicitly or via RMFLAB_BUDGET",
             required=steps,
         )
-    return x_end, marks_arr, samples
+    if rows * len(marks) >= 2**60:  # beyond numpy's reach for an int64 (rows, marks) array
+        raise MemoryError(f"{rows} samples x {len(marks)} marks exceed the address space")
+    return x_end, np.asarray(marks, dtype=np.int64), samples
 
 
-def block_starts(samples: np.ndarray) -> np.ndarray:
-    """The index of each 64-sample block's first sample in sorted ``samples``."""
-    # np.unique would do, but its first call in a process costs ~12 ms, paid
-    # again by every freshly forked worker
-    return np.flatnonzero(np.diff(samples >> 6, prepend=-1))
+def block_runs(samples: range, parts: int | None = None) -> list[range]:
+    """Cut samples at block edges into one run per block, or into at most ``parts`` runs.
 
-
-def group_blocks(samples: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Group sorted samples into (block, lanes) pairs, in sample order."""
-    runs = np.split(samples, block_starts(samples)[1:])
-    return [(int(run[0] >> 6), (run & 63).astype(np.uint64)) for run in runs]
+    Sample s is lane ``s % 64`` of block ``s // 64``.  Runs hold whole
+    blocks (bar the range's two ends), in order, and their block counts
+    differ by at most one, the longer runs first.
+    """
+    first = samples.start >> 6
+    blocks = ((samples.stop - 1) >> 6) - first + 1
+    n = blocks if parts is None else min(parts, blocks)
+    q, r = divmod(blocks, n)
+    edges = [samples.start, *((first + k * q + min(k, r)) << 6 for k in range(1, n)), samples.stop]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def run_walks(
     source: Any,
     x_end: int,
     marks: Sequence[int],
-    sample_indices: Sequence[int] | np.ndarray,
+    sample_indices: range,
     *,
     census: bool = True,
     budget: int | None = None,
     first_change: bool = False,
 ) -> WalkResult:
-    """Walk all requested samples to ``x_end`` in this process, reporting at ``marks``.
+    """Walk a sample range to ``x_end`` in this process, reporting at ``marks``.
 
+    Row i is sample ``sample_indices.start + i`` (see :func:`walk_inputs`).
     Segments are ``segment_length_for(x_end)`` integers long, and every
     lane walks each segment in pieces of ``PIECE`` integers; a float walk
     is the sequential sum of its steps, so no segment or piece length
     changes the output.  Each sample's row depends only on (source,
-    sample, marks), so a caller may walk runs of samples anywhere and
+    sample, marks), so a caller may walk runs of the range anywhere and
     concatenate them.
 
     ``first_change=True`` (census runs only) is for callers that only ask
@@ -198,9 +202,8 @@ def run_walks(
         raise ParameterError("first_change needs a census run")
     x_end, marks, samples = walk_inputs(x_end, marks, sample_indices, budget)
     seg_len = segment_length_for(x_end)
-    blocks = group_blocks(samples)
     state = source.begin(x_end)
-    n_rows, k = samples.size, marks.size
+    n_rows, k = len(samples), marks.size
     float_walk = source.float_walk
     values = np.zeros((n_rows, k), dtype=np.float64 if float_walk else np.int64)
     changes = np.zeros((n_rows, k), dtype=np.int64) if census else None
@@ -219,21 +222,22 @@ def run_walks(
     step8 = np.empty(piece_len, dtype=np.int8)
 
     one = np.uint64(1)
+    runs = block_runs(samples)  # after the per-row arrays, which fail first when too large
     lo = 1
     while lo <= x_end:
         hi = min(lo + seg_len, x_end + 1)
         ctx = None  # free the last segment's context before building the next
         ctx = source.segment(state, lo, hi)
-        row = 0
-        for block, lanes in blocks:
-            if stopped[row : row + len(lanes)].all():
-                row += len(lanes)
+        for run in runs:
+            rows = slice(run.start - samples.start, run.stop - samples.start)
+            if stopped[rows].all():
                 continue
-            words, scale = source.block_words(ctx, block)
+            words, scale = source.block_words(ctx, run.start >> 6)
             if scale is not None:
                 # a mask multiplies int8 steps; magnitudes take the sign bit
                 scale = scale.view(np.uint64 if float_walk else np.int8)
-            for lane in lanes:
+            for row, s in enumerate(run, rows.start):
+                lane = np.uint64(s & 63)
                 carry = int(carry_sign[row])
                 acc = int(change_acc[row])
                 changes_row = changes[row] if census else None
@@ -288,6 +292,5 @@ def run_walks(
                     a = b
                 carry_sign[row] = carry
                 change_acc[row] = acc
-                row += 1
         lo = hi
     return WalkResult(marks, values, changes)

@@ -17,8 +17,8 @@ the unit-variance examples, (1 + sqrt(loglog x)/2)^(1/2) for the
 multiplicative walk.  The harmonic model is exposed as an out-of-hypothesis
 stress case and declares no psi.
 
-:func:`collect_walks` walks every model and is the one place that splits
-samples between worker processes.
+:func:`collect_walks` walks every model and is the one place that cuts
+a sample range between worker processes.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .census import count_to_marks
 from .engine import (
     PartialSumTrace,
     WalkResult,
-    block_starts,
-    group_blocks,
+    block_runs,
     run_walks,
     segment_length_for,
     walk_inputs,
@@ -216,21 +215,21 @@ def _sidon_phase(master_seed: int, sample_index: int) -> float:
 def _collect_sidon(
     terms: np.ndarray,
     marks: np.ndarray,
-    samples: np.ndarray,
+    samples: range,
     master_seed: int,
     census: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     x_end = terms.size
-    values = np.zeros((samples.size, marks.size))
-    changes = np.zeros((samples.size, marks.size), dtype=np.int64) if census else None
-    phases = np.array([_sidon_phase(master_seed, int(s)) for s in samples])
+    values = np.zeros((len(samples), marks.size))
+    changes = np.zeros((len(samples), marks.size), dtype=np.int64) if census else None
+    phases = np.array([_sidon_phase(master_seed, s) for s in samples])
     # rows per chunk: keeps the three chunk-sized float temporaries near
     # 1.6 MB, in cache (at 16 MB two workers shared memory bandwidth and
     # each ran as slowly as one did alone)
     chunk = max(1, int(2e5) // x_end)
     root2 = math.sqrt(2.0)
-    for i0 in range(0, samples.size, chunk):
-        i1 = min(i0 + chunk, samples.size)
+    for i0 in range(0, len(samples), chunk):
+        i1 = min(i0 + chunk, len(samples))
         m = np.cumsum(root2 * np.cos(np.outer(phases[i0:i1], terms)), axis=1)
         for row, path in zip(range(i0, i1), m):
             count_to_marks(path, 1, marks, 0, 0, values[row], changes[row] if census else None)
@@ -271,26 +270,25 @@ def _collect_martingale(
     model: ModelSpec,
     x_end: int,
     marks: np.ndarray,
-    samples: np.ndarray,
+    samples: range,
     master_seed: int,
     census: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    values = np.zeros((samples.size, marks.size))
-    changes = np.zeros((samples.size, marks.size), dtype=np.int64) if census else None
-    running = np.zeros(samples.size)
-    carry_sign = np.zeros(samples.size, dtype=np.int64)
-    change_acc = np.zeros(samples.size, dtype=np.int64)
+    values = np.zeros((len(samples), marks.size))
+    changes = np.zeros((len(samples), marks.size), dtype=np.int64) if census else None
+    running = np.zeros(len(samples))
+    carry_sign = np.zeros(len(samples), dtype=np.int64)
+    change_acc = np.zeros(len(samples), dtype=np.int64)
     seg_len = segment_length_for(x_end)
-    blocks = group_blocks(samples)
+    runs = block_runs(samples)
     one = np.uint64(1)
     for lo in range(1, x_end + 1, seg_len):
         mn = signs.premix(np.arange(lo, min(lo + seg_len, x_end + 1), dtype=np.uint64))
-        row = 0
-        for block, lanes in blocks:
-            key = signs.block_key(master_seed, block, SALT_MARTINGALE)
+        for run in runs:
+            key = signs.block_key(master_seed, run.start >> 6, SALT_MARTINGALE)
             words = signs.keyed_words(mn, key)
-            for lane in lanes:
-                r = 1.0 - 2.0 * ((words >> lane) & one).astype(np.float64)
+            for row, s in enumerate(run, run.start - samples.start):
+                r = 1.0 - 2.0 * ((words >> np.uint64(s & 63)) & one).astype(np.float64)
                 m = _martingale_piece(r, running[row], model.martingale_lo, model.martingale_hi)
                 carry_sign[row], change_acc[row] = count_to_marks(
                     m,
@@ -302,12 +300,11 @@ def _collect_martingale(
                     changes[row] if census else None,
                 )
                 running[row] = m[-1]
-                row += 1
     return values, changes
 
 
 def _walk_run(model, master_seed, x_end, marks, census, first_change, terms, samples):
-    """(values, changes) of one run of sorted, validated samples, walked in this process."""
+    """(values, changes) of one validated sample range, walked in this process."""
     if model.kind == "sidon_cosine":
         return _collect_sidon(terms, marks, samples, master_seed, census)
     if model.kind == "bounded_martingale":
@@ -323,7 +320,7 @@ def collect_walks(
     model: ModelSpec,
     x_end: int,
     marks,
-    sample_indices,
+    sample_indices: range,
     master_seed: int,
     *,
     census: bool = True,
@@ -333,10 +330,11 @@ def collect_walks(
 ) -> WalkResult:
     """Uniform multi-sample collection across all model kinds.
 
-    The one place where samples are split between processes.  The sorted
-    samples are cut into at most ``workers`` (at least 1, else
-    ``ParameterError``) contiguous runs of whole 64-sample blocks; each run
-    is walked in its own process by the model's one-process walker
+    Row i is sample ``sample_indices.start + i`` of a step-1 ``range``.
+    The one place where samples are split between processes:
+    :func:`engine.block_runs` cuts the range into at most ``workers`` (at
+    least 1, else ``ParameterError``) runs of whole 64-sample blocks.  Each
+    run is walked in its own process by the model's one-process walker
     (:func:`run_walks` for rmf, iid and harmonic, the Sidon and martingale
     collectors otherwise), and the runs are concatenated in sample order.
     A sample's row depends only on (model, seed, sample, marks), so the
@@ -357,13 +355,12 @@ def collect_walks(
         # built once here: a worker rebuilding mian_chowla(1000) pays ~4 s
         terms = np.asarray(mian_chowla(x_end).elements, dtype=np.float64)
     walk = partial(_walk_run, model, master_seed, x_end, marks, census, first_change, terms)
-    starts = block_starts(samples)
-    cuts = [starts[c[0]] for c in np.array_split(np.arange(starts.size), workers)[1:] if c.size]
-    if not cuts:
+    runs = block_runs(samples, workers)
+    if len(runs) == 1:
         values, changes = walk(samples)
     else:
-        with ProcessPoolExecutor(max_workers=len(cuts) + 1) as pool:
-            parts = list(pool.map(walk, np.split(samples, cuts)))
+        with ProcessPoolExecutor(max_workers=len(runs)) as pool:
+            parts = list(pool.map(walk, runs))
         values = np.concatenate([v for v, _ in parts])
         changes = np.concatenate([c for _, c in parts]) if census else None
     return WalkResult(marks, values, changes)
@@ -380,7 +377,6 @@ def sample_path(
 ) -> PartialSumTrace:
     """One sample's trace of the model walk up to x."""
     reqs = checkpoints or []
-    res = collect_walks(
-        model, x, [*reqs, x], [sample_index], master_seed, census=True, budget=budget
-    )
+    samples = range(sample_index, sample_index + 1)
+    res = collect_walks(model, x, [*reqs, x], samples, master_seed, census=True, budget=budget)
     return PartialSumTrace.of_walk(res, reqs)

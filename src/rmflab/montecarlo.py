@@ -190,7 +190,7 @@ def _walk(
         plan.model,
         max(marks),
         marks,
-        np.arange(plan.samples, dtype=np.int64),
+        range(plan.samples),
         plan.master_seed,
         census=census,
         workers=plan.workers,

@@ -95,7 +95,7 @@ def rmf_trace(
         source,
         x,
         marks=[*reqs, x],
-        sample_indices=[oracle.sample_index],
+        sample_indices=range(oracle.sample_index, oracle.sample_index + 1),
         census=True,
         budget=budget,
     )

@@ -218,7 +218,7 @@ def mertens_trace(
     one sample's walk; the default is unbounded.
     """
     reqs = checkpoints or []
-    x, marks, _ = walk_inputs(x, [*reqs, x], [0], budget)
+    x, marks, _ = walk_inputs(x, [*reqs, x], range(1), budget)
     primes = primes_up_to(max(2, isqrt(x)))
     seg = segment_length_for(x)
     values = np.zeros((1, marks.size), dtype=np.int64)

@@ -6,14 +6,17 @@ division, independently of ``rmflab.sieve``'s radical sieve, and
 through the scalar sign word ``sign_word``, built on ``rmflab.signs.mix64``.
 ``harmonic_walks`` sums the r_n / sqrt(n) walks in one sequential pass each.
 ``AllPlusOracle`` and ``AllPlusWordSource`` set f(p) = +1 on every prime,
-so f is the squarefree indicator and M(u) = Q(u).  The tests hold the
-package's vectorized paths against them.
+so f is the squarefree indicator and M(u) = Q(u).  ``iid_expected_v`` and
+``exact_rmf_law`` give exact laws of the iid and rmf walks, in closed form
+and by enumeration.  The tests hold the package's vectorized paths
+against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from fractions import Fraction
+from math import comb, isqrt
 
 import numpy as np
 
@@ -199,6 +202,59 @@ def mertens_walk(x: int) -> np.ndarray:
     omega = np.diff(seg.factor_indptr) + (seg.cofactor > 1)
     mu = np.where(seg.squarefree, 1 - 2 * (omega % 2), 0)
     return np.cumsum(mu)
+
+
+def iid_expected_v(x: int) -> Fraction:
+    """E V(x) of the simple +-1 walk under the zero-skip policy, exactly.
+
+    A change can only complete at step 2k + 1 after a visit to 0 at step
+    2k, and then does so with probability 1/2 (the step leaving 0 is
+    independent of the last nonzero sign), while P(S_2k = 0) = C(2k, k)/4^k
+    (Feller, Vol. 1, Ch. III).  So E V(x) = 1/2 sum_{k=1}^{floor((x-1)/2)}
+    C(2k, k)/4^k.
+    """
+    return Fraction(1, 2) * sum(Fraction(comb(2 * k, k), 4**k) for k in range(1, (x - 1) // 2 + 1))
+
+
+@dataclass(frozen=True)
+class ExactRmfLaw:
+    """Exact moments of the Rademacher multiplicative walk at one x."""
+
+    expected_v: Fraction  # E V(x), zero-skip sign changes in [1, x]
+    abs_mean: Fraction  # E |M(x)|
+    second_moment: Fraction  # E M(x)^2
+
+
+def exact_rmf_law(x: int) -> ExactRmfLaw:
+    """The law of (V(x), M(x)) for f, by enumerating every prime-sign pattern.
+
+    M(u) for u <= x depends only on f(p) for p <= x, so the 2^pi(x)
+    patterns are equally likely and exhaust the law.  Each n <= x is
+    factored by trial division (squarefree n only; f(1) = 1, f(n) = 0
+    otherwise), and V is counted by a plain forward fill of the last
+    nonzero sign, one integer at a time across all patterns.  Nothing here
+    uses ``rmflab.sieve`` or ``rmflab.census``.
+    """
+    primes = [int(p) for p in _primes_up_to(x)]
+    patterns = np.arange(1 << len(primes), dtype=np.int64)
+    # column j: f(p_j) of every pattern, -1 where bit j of the pattern is set
+    f_prime = 1 - 2 * ((patterns[:, None] >> np.arange(len(primes))) & 1)
+    m = np.zeros(patterns.size, dtype=np.int64)
+    last = np.zeros(patterns.size, dtype=np.int64)
+    changes = np.zeros(patterns.size, dtype=np.int64)
+    for n in range(1, x + 1):
+        factors = [j for j, p in enumerate(primes) if n % p == 0]
+        if all(n % (primes[j] ** 2) for j in factors):
+            m += np.prod(f_prime[:, factors], axis=1)
+        s = np.sign(m)
+        changes += (s != 0) & (last != 0) & (s != last)
+        last = np.where(s != 0, s, last)
+    total = patterns.size
+    return ExactRmfLaw(
+        expected_v=Fraction(int(changes.sum()), total),
+        abs_mean=Fraction(int(np.abs(m).sum()), total),
+        second_moment=Fraction(int((m * m).sum()), total),
+    )
 
 
 def _primes_up_to(n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ MANIFEST_KEYS = {"command", "options", "code_version", "wall_time_s", "experimen
 
 def zero_walk(model, master_seed, x_end, marks, census, first_change, terms, samples):
     """A run's walk after validation, stubbed: every sample stays at M = 0."""
-    zeros = np.zeros((samples.size, marks.size), dtype=np.int64)
+    zeros = np.zeros((len(samples), marks.size), dtype=np.int64)
     return zeros, zeros.copy() if census else None
 
 
@@ -47,6 +47,13 @@ class TestExitCodes:
     def test_parameter_error_exit_2(self, capsys):
         assert run(["lambda", "--N", "0", "--x", "100"]) == 2
         assert "rmflab: error: parameter:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [2**60, 2**63])
+    def test_unaddressable_sample_count_exits_3(self, samples, capsys):
+        # no numpy array can hold these rows: refused before any is built
+        argv = ["moments", "--x", "1", "--q", "1", "--samples", str(samples), "--budget", "1e30"]
+        assert run([*argv, "--seed", "1"]) == 3
+        assert "rmflab: error: resource: out of memory:" in capsys.readouterr().err
 
     def test_resource_error_exit_3(self, capsys):
         code = run(
@@ -99,12 +106,16 @@ class TestExitCodes:
             ["avg-v", "--grid-eps", "0.01", "--ell-max", "300", "--xmax", "1e4"],
             ["lambda", "--N", "3", "--x", "1e3", "--q", ""],
             ["signprob", "--x", "", "--N", "2"],
+            ["simulate", "--x", "1e3", "--sample-index", str(10**20), "--seed", "1"],
+            ["simulate", "--x", "1e3", "--sample-index", str(10**20), "--seed", "1",
+             "--model", "sidon_cosine"],
         ],
         ids=["signprob-x-nan", "signprob-x-inf", "signprob-N-0", "mertens-x-nan", "lambda-x-overflow",
              "signprob-x-past-int64", "signprob-n-boot-0", "events-N-0", "signprob-N-overflow",
              "correlations-max-m-equals-n", "correlations-max-m-below-n", "signprob-budget-negative",
              "moments-q-negative", "simulate-checkpoint-fractional", "avg-v-grid-overflow",
-             "lambda-q-empty", "signprob-x-empty"],
+             "lambda-q-empty", "signprob-x-empty", "simulate-sample-index-past-2^63",
+             "simulate-sidon-sample-index-past-2^63"],
     )
     def test_bad_number_exits_2(self, argv, capsys):
         if argv[0] not in ("mertens", "lambda", "simulate"):  # those without sampling options

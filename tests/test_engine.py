@@ -14,19 +14,31 @@ from oracle import harmonic_walks, radical_reference, sign_words_array
 def test_marks_validation():
     src = IidWordSource(master_seed=1)
     with pytest.raises(ParameterError):
-        run_walks(src, 10, [], [0])
+        run_walks(src, 10, [], range(1))
     with pytest.raises(ParameterError):
-        run_walks(src, 10, [11], [0])
+        run_walks(src, 10, [11], range(1))
     with pytest.raises(ParameterError):
-        run_walks(src, 10, [0], [0])
+        run_walks(src, 10, [0], range(1))
     with pytest.raises(ParameterError):
-        run_walks(src, 10, [5], [])
+        run_walks(src, 10, [5], range(0))
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [[0, 1], np.arange(2), range(0, 4, 2), range(0), range(-1, 1), range(2**63, 2**63 + 1)],
+    ids=["list", "array", "step-2", "empty", "negative", "past-2^63"],
+)
+def test_samples_must_be_a_step_1_range(samples):
+    with pytest.raises(ParameterError):
+        run_walks(IidWordSource(master_seed=1), 10, [5], samples)
+    with pytest.raises(ParameterError):
+        collect_walks(ModelSpec("iid_rademacher"), 10, [5], samples, 1)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_nonpositive_workers_rejected(workers):
     with pytest.raises(ParameterError):
-        collect_walks(ModelSpec("iid_rademacher"), 10, [5], [0], 1, workers=workers)
+        collect_walks(ModelSpec("iid_rademacher"), 10, [5], range(1), 1, workers=workers)
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 500), (10**6 - 123, 10**6 + 877)])
@@ -55,7 +67,7 @@ def test_iid_walk_matches_direct_hash():
     from rmflab import signs
 
     seed, sample = 99, 70  # block 1, lane 6
-    res = run_walks(IidWordSource(master_seed=seed), 200, [1, 100, 200], [sample])
+    res = run_walks(IidWordSource(master_seed=seed), 200, [1, 100, 200], range(sample, sample + 1))
     key = signs.block_key(seed, sample >> 6, signs.SALT_INDEX)
     words = sign_words_array(key, np.arange(1, 201, dtype=np.int64))
     steps = 1 - 2 * ((words >> np.uint64(sample & 63)) & np.uint64(1)).astype(np.int64)
@@ -126,7 +138,7 @@ def test_int32_and_int64_paths_agree(monkeypatch):
 def test_sample_subsets_see_identical_streams():
     # sample 70's walk must not depend on which other samples run with it
     src = IidWordSource(master_seed=123)
-    alone = run_walks(src, 500, [500], [70])
+    alone = run_walks(src, 500, [500], range(70, 71))
     grouped = run_walks(src, 500, [500], range(128))
     assert alone.values[0, 0] == grouped.values[70, 0]
     assert alone.changes[0, 0] == grouped.changes[70, 0]
@@ -152,7 +164,7 @@ def test_first_change_keeps_window_indicators(monkeypatch, workers):
 
 def test_first_change_needs_census():
     with pytest.raises(ParameterError):
-        run_walks(IidWordSource(master_seed=1), 10, [5], [0], census=False, first_change=True)
+        run_walks(IidWordSource(master_seed=1), 10, [5], range(1), census=False, first_change=True)
 
 
 FIRST_CHANGE_MARKS = [300, 700, 1500, 2200, 3000]

@@ -122,7 +122,7 @@ class TestSamplePath:
 
     def test_martingale_steps_bounded(self):
         spec = ModelSpec("bounded_martingale")
-        res = collect_walks(spec, 200, list(range(1, 201)), [0, 1, 2], 5)
+        res = collect_walks(spec, 200, list(range(1, 201)), range(3), 5)
         steps = np.diff(np.hstack([np.zeros((3, 1)), res.values]), axis=1)
         mags = np.abs(steps)
         assert np.all((mags >= spec.martingale_lo - 1e-12))
@@ -156,7 +156,7 @@ def test_every_kind_splits_samples_between_workers(kind, monkeypatch):
 
 
 class TestMartingaleWalk:
-    SAMPLES = [0, 5, 63, 64, 130, 200]
+    SAMPLES = range(60, 135)  # crosses blocks 0, 1 and 2, partial at both ends
 
     @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (1.0, 1.0), (0.3, 0.9), (0.25, 2.0)])
     def test_matches_per_integer_reference(self, lo, hi, monkeypatch):
@@ -196,7 +196,7 @@ class TestVarianceDeclarations:
         samples = 4000
         for kind in ("iid_rademacher", "harmonic_rademacher", "sidon_cosine"):
             spec = ModelSpec(kind)
-            res = collect_walks(spec, 20, list(range(1, 21)), np.arange(samples), 31)
+            res = collect_walks(spec, 20, list(range(1, 21)), range(samples), 31)
             steps = np.diff(np.hstack([np.zeros((samples, 1)), res.values]), axis=1)
             for n in (1, 5, 20):
                 lo, hi = spec.variance_bounds(n)
@@ -212,7 +212,7 @@ class TestOrthogonality:
     def test_step_products_center_on_zero(self, kind):
         samples = 10**4
         spec = ModelSpec(kind)
-        res = collect_walks(spec, 50, list(range(1, 51)), np.arange(samples), 8, census=False)
+        res = collect_walks(spec, 50, list(range(1, 51)), range(samples), 8, census=False)
         vals = res.values.astype(np.float64)
         steps = np.diff(np.hstack([np.zeros((samples, 1)), vals]), axis=1)
         rng = np.random.default_rng(0)
@@ -230,7 +230,7 @@ class TestMartingaleConditionalMean:
     def test_zero_mean_within_past_sign_strata(self):
         samples = 2 * 10**4
         spec = ModelSpec("bounded_martingale")
-        res = collect_walks(spec, 30, list(range(1, 31)), np.arange(samples), 13, census=False)
+        res = collect_walks(spec, 30, list(range(1, 31)), range(samples), 13, census=False)
         m = np.hstack([np.zeros((samples, 1)), res.values])
         steps = np.diff(m, axis=1)
         for n in (2, 7, 19):
@@ -277,7 +277,7 @@ class TestPsi:
 
 class TestSidonMoments:
     def test_fourth_moment_ratio_band(self):
-        res = collect_walks(ModelSpec("sidon_cosine"), 100, [100], np.arange(2000), 6, census=False)
+        res = collect_walks(ModelSpec("sidon_cosine"), 100, [100], range(2000), 6, census=False)
         m = res.values[:, 0]
         ratio = (m**4).mean() / (m**2).mean() ** 2
         assert 1.0 <= ratio <= 10.0

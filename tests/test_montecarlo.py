@@ -367,19 +367,18 @@ class TestBudget:
             estimate_expected_V(p, 10**6)
         assert err.value.required == 10**9
 
-    def test_refusal_memory_is_a_few_index_arrays(self):
-        # the sample indices are sorted and deduplicated in numpy before the
-        # budget refuses; a Python set of them traced about 10x the array
-        n = 10**6
+    def test_refusal_runs_in_constant_memory(self, monkeypatch):
+        # the budget refuses 10^7 samples before anything their size is built
+        monkeypatch.delenv("RMFLAB_BUDGET", raising=False)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceError) as err:
-                moment_table(plan(samples=n, budget=10**9), [1e4], [1.0])
+                moment_table(ExperimentPlan(master_seed=1, samples=10**7), [1e4], [1.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert err.value.required == 10**10
-        assert peak < 5 * 8 * n, f"{peak / 2**20:.1f} MiB traced"
+        assert err.value.required == 10**11
+        assert peak < 2**20, f"{peak / 2**20:.1f} MiB traced"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("RMFLAB_BUDGET", "1e5")

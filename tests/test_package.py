@@ -74,3 +74,8 @@ def test_sources_have_one_scale_channel():
         ]
         assert not {"is_float_walk", "weights"} & set(methods), path.name
     assert not hasattr(rmflab.sieve, "mobius_sieve")
+
+
+def test_samples_are_one_range():
+    # a walk's samples are a step-1 range, cut into blocks by arithmetic
+    assert not hasattr(rmflab.engine, "block_starts")

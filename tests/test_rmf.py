@@ -113,7 +113,7 @@ def test_block_words_match_oracle_on_squarefrees(group):
 
 class TestTrace:
     def test_all_plus_counts_squarefree(self):
-        tr = PartialSumTrace.of_walk(run_walks(AllPlusWordSource(1), 10, [10], [0]), [])
+        tr = PartialSumTrace.of_walk(run_walks(AllPlusWordSource(1), 10, [10], range(1)), [])
         assert tr.final_value == squarefree_count(10) == 7
         assert tr.sign_change_count == 0
 
@@ -192,7 +192,7 @@ class TestMoments:
         # orthogonality: E M(x)^2 = Q(x); 4 bootstrap SEs at 2000 samples
         x = 1000
         res = collect_walks(
-            ModelSpec("rmf"), x, [x], np.arange(2000), 424242, census=False
+            ModelSpec("rmf"), x, [x], range(2000), 424242, census=False
         )
         sq = res.values[:, 0].astype(np.float64) ** 2
         est = bootstrap_estimate(sq, 424242, "test|m2")
@@ -201,7 +201,7 @@ class TestMoments:
     def test_cross_moment_matches_q_min(self):
         a, b = 300, 3000
         res = collect_walks(
-            ModelSpec("rmf"), b, [a, b], np.arange(3000), 3141, census=False
+            ModelSpec("rmf"), b, [a, b], range(3000), 3141, census=False
         )
         prod = res.values[:, 0].astype(np.float64) * res.values[:, 1].astype(np.float64)
         est = bootstrap_estimate(prod, 3141, "test|cross")
