@@ -27,7 +27,7 @@ import secrets
 import sys
 import time
 
-from . import __version__
+from . import __version__, signs
 from .analysis import (
     LambdaParams,
     exact_correlation,
@@ -35,7 +35,8 @@ from .analysis import (
     lambda_exact,
 )
 from .errors import ParameterError, ResourceError, RmflabError
-from .models import KINDS, ModelSpec, mian_chowla, psi_predictor, sample_path
+from .models import (KINDS, MARTINGALE_A, MARTINGALE_B, ModelSpec, mian_chowla,
+                     psi_predictor, sample_path)
 from .montecarlo import (
     EstimateWithCI,
     ExperimentPlan,
@@ -162,8 +163,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def master_seed(text: str) -> int:
+    """An int in [0, 2^63); a ``ValueError`` otherwise, so flag and config both exit 2."""
+    return signs.check_seed(int(text))  # a ParameterError is a ValueError
+
+
 _OPTIONS = {
-    "seed": dict(type=int, default=None, help="master seed (all randomness flows from it)"),
+    "seed": dict(type=master_seed, default=None, help="master seed (all randomness flows from it)"),
     "samples": dict(type=int, default=1000),
     "workers": dict(type=positive_int, default=1, help="sample-level parallelism; output independent of it"),
     "n-boot": dict(dest="n_boot", type=int, default=1000),
@@ -446,7 +452,7 @@ def cmd_models(args) -> tuple[list[dict], int]:
             psi = "psi: none declared (stress model)"
         extras = ""
         if kind == "bounded_martingale":
-            extras = f"  amplitudes [{spec.martingale_lo}, {spec.martingale_hi}]"
+            extras = f"  amplitudes [{MARTINGALE_A}, {MARTINGALE_B}]"
         if kind == "sidon_cosine":
             extras = f"  greedy B2 head: {mian_chowla(8).elements}"
         print(f"{kind:22s} EX_1={mean1:+.0f}  VarX_5 in {v5}  {psi}{extras}")

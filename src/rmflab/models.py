@@ -8,8 +8,8 @@ Five selectable walks M(u) = sum_{n<=u} X_n:
 ``sidon_cosine``         X_k = sqrt(2) cos(n_k U) on a greedy B2 sequence,
                          one uniform U on [0, 2pi) drives the whole path
                          (the sqrt(2) lifts the raw cosine variance 1/2 to 1);
-``bounded_martingale``   X_n = r_n s_n with s_n in [A, B] a function of the
-                         past (default: s_n = B if M(n-1) <= 0 else A).
+``bounded_martingale``   X_n = r_n s_n with s_n = B if M(n-1) <= 0 else A,
+                         fixed at A = 1/2 and B = 1.
 
 Each model declares its mean/variance sequence and, where claimed, the
 norm-deficit function psi with ||M(x)||_1 ~ sqrt(x)/psi(x): constant 1 for
@@ -53,6 +53,8 @@ KINDS = (
 )
 
 MIAN_CHOWLA_MAX = 2000  # reachable limit; see mian_chowla
+MARTINGALE_A = 0.5  # the bounded martingale's step amplitude while M > 0
+MARTINGALE_B = 1.0  # and while M <= 0
 SALT_SIDON = 0x1B87_3593_7AF1_6D2B
 SALT_MARTINGALE = 0x6C62_272E_07BB_0142
 
@@ -122,21 +124,13 @@ def mian_chowla(k: int) -> SidonSet:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A walk model kind plus its parameters.
-
-    ``martingale_lo``/``martingale_hi`` are the amplitude bounds A <= B of
-    the bounded martingale; the other kinds take no parameter.
-    """
+    """A walk model kind; no kind takes a parameter."""
 
     kind: str
-    martingale_lo: float = 0.5
-    martingale_hi: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown model kind {self.kind!r}; pick from {KINDS}")
-        if not (0 < self.martingale_lo <= self.martingale_hi):
-            raise ParameterError("need amplitude bounds 0 < A <= B")
 
     def mean(self, n: int) -> float:
         """Declared E X_n (exact)."""
@@ -153,7 +147,7 @@ class ModelSpec:
         if self.kind == "harmonic_rademacher":
             return (1.0 / n, 1.0 / n)
         if self.kind == "bounded_martingale":
-            return (self.martingale_lo**2, self.martingale_hi**2)
+            return (MARTINGALE_A**2, MARTINGALE_B**2)
         if n == 1:
             return (0.0, 0.0)
         v = 1.0 if squarefree_count(n) - squarefree_count(n - 1) == 1 else 0.0
@@ -267,7 +261,6 @@ def _martingale_piece(r: np.ndarray, m: float, lo: float, hi: float) -> np.ndarr
 
 
 def _collect_martingale(
-    model: ModelSpec,
     x_end: int,
     marks: np.ndarray,
     samples: range,
@@ -289,7 +282,7 @@ def _collect_martingale(
             words = signs.keyed_words(mn, key)
             for row, s in enumerate(run, run.start - samples.start):
                 r = 1.0 - 2.0 * ((words >> np.uint64(s & 63)) & one).astype(np.float64)
-                m = _martingale_piece(r, running[row], model.martingale_lo, model.martingale_hi)
+                m = _martingale_piece(r, running[row], MARTINGALE_A, MARTINGALE_B)
                 carry_sign[row], change_acc[row] = count_to_marks(
                     m,
                     lo,
@@ -308,7 +301,7 @@ def _walk_run(model, master_seed, x_end, marks, census, first_change, terms, sam
     if model.kind == "sidon_cosine":
         return _collect_sidon(terms, marks, samples, master_seed, census)
     if model.kind == "bounded_martingale":
-        return _collect_martingale(model, x_end, marks, samples, master_seed, census)
+        return _collect_martingale(x_end, marks, samples, master_seed, census)
     sources = {"rmf": RmfWordSource, "iid_rademacher": IidWordSource,
                "harmonic_rademacher": HarmonicWordSource}
     res = run_walks(sources[model.kind](master_seed), x_end, marks, samples,
@@ -345,13 +338,10 @@ def collect_walks(
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
+    signs.check_seed(master_seed)
     x_end, marks, samples = walk_inputs(x_end, marks, sample_indices, budget)
     terms = None
     if model.kind == "sidon_cosine":
-        if x_end > MIAN_CHOWLA_MAX:
-            raise ParameterError(
-                f"sidon walk limited to {MIAN_CHOWLA_MAX} terms, got x={x_end}"
-            )
         # built once here: a worker rebuilding mian_chowla(1000) pays ~4 s
         terms = np.asarray(mian_chowla(x_end).elements, dtype=np.float64)
     walk = partial(_walk_run, model, master_seed, x_end, marks, census, first_change, terms)

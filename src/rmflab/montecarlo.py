@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import signs
 from .analysis import LambdaParams, check_event_params, forcing_events, lambda_exact
 from .engine import DEFAULT_BUDGET, WalkResult
 from .errors import ParameterError
@@ -91,8 +92,9 @@ class ExperimentPlan:
             raise ParameterError("samples must be >= 1")
         if self.workers < 1:
             raise ParameterError(f"workers must be >= 1, got {self.workers}")
-        if self.n_boot < 1:
-            raise ParameterError(f"bootstrap needs n_boot >= 1, got {self.n_boot}")
+        if self.n_boot < 2:
+            raise ParameterError(f"bootstrap needs n_boot >= 2, got {self.n_boot}")
+        signs.check_seed(self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class EstimateWithCI:
 def _boot_rng(master_seed: int, purpose: str) -> np.random.Generator:
     digest = hashlib.sha256(purpose.encode()).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.default_rng(np.random.SeedSequence([master_seed & (2**63 - 1), *words]))
+    return np.random.default_rng(np.random.SeedSequence([master_seed, *words]))
 
 
 def _mean_ordered(values: np.ndarray) -> float:
@@ -147,8 +149,8 @@ def bootstrap_estimate(
     n = values.shape[0]
     if n < 1:
         raise ParameterError("bootstrap needs at least one sample")
-    if n_boot < 1:
-        raise ParameterError(f"bootstrap needs n_boot >= 1, got {n_boot}")
+    if n_boot < 2:
+        raise ParameterError(f"bootstrap needs n_boot >= 2, got {n_boot}")
     if statistic is None:
         point = _mean_ordered(values)
         statistic = _row_means

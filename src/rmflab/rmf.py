@@ -20,9 +20,6 @@ from .engine import PartialSumTrace, run_walks
 from .errors import ParameterError
 from .sieve import fold_small_primes, primes_up_to, segment_radical_data
 
-HOOKS = ("hash", "minus")
-_ALL_ONES = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class SignOracle:
@@ -37,15 +34,15 @@ class SignOracle:
     hook: str = "hash"
 
     def __post_init__(self):
-        if self.hook not in HOOKS:
+        if self.hook not in ("hash", "minus"):
             raise ParameterError(f"unknown oracle hook {self.hook!r}")
-        if self.sample_index < 0:
-            raise ParameterError("sample_index must be >= 0")
+        signs.check_seed(self.master_seed)
 
 
 @dataclass(frozen=True)
 class RmfWordSource:
-    """Engine source streaming sign-parity words of f over segments."""
+    """Engine source streaming sign-parity words of f: n's word XORs its prime
+    factors' words, keyed hashes, or all ones (f(p) = -1) under hook "minus"."""
 
     master_seed: int
     hook: str = "hash"
@@ -56,24 +53,23 @@ class RmfWordSource:
         return {"primes": primes, "pm": signs.premix(primes.primes)}
 
     def segment(self, state, lo: int, hi: int):
-        data = segment_radical_data(lo, hi, state["primes"], want_parity=self.hook != "hash")
-        if self.hook != "hash":
-            return {"data": data}
+        data = segment_radical_data(lo, hi, state["primes"])
         return {"data": data, "pm": state["pm"][: data.small.size],
                 "mc": signs.premix(data.big_prime)}
 
     def block_words(self, ctx, block: int):
         """Sign-parity words of one block, exact on squarefree n; the scale is that mask."""
         data = ctx["data"]
-        sqf = data.squarefree
-        if self.hook == "minus":
-            words = np.where(data.omega_parity, np.uint64(_ALL_ONES), np.uint64(0))
-            return words, sqf
         key = signs.block_key(self.master_seed, block, signs.SALT_PRIME)
-        hsmall = signs.keyed_words(ctx["pm"], key)
+        hsmall = self._prime_words(ctx["pm"], key)
         words = fold_small_primes(np.bitwise_xor, hsmall, data.small, data.lo, data.hi)
-        words[data.big] ^= signs.keyed_words(ctx["mc"], key)
-        return words, sqf
+        words[data.big] ^= self._prime_words(ctx["mc"], key)
+        return words, data.squarefree
+
+    def _prime_words(self, premixed: np.ndarray, key: int) -> np.ndarray:
+        if self.hook == "minus":
+            return np.full(premixed.size, signs.MASK64, dtype=np.uint64)
+        return signs.keyed_words(premixed, key)
 
 
 def rmf_trace(

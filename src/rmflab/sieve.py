@@ -71,9 +71,9 @@ def squarefree_count(x: int) -> int:
         raise ParameterError(f"squarefree_count needs x >= 1, got {x}")
     x = int(x)
     r = isqrt(x)
-    data = segment_radical_data(1, r + 1, primes_up_to(max(2, isqrt(r))), want_parity=True)
+    mu = _mobius(1, r + 1, primes_up_to(max(2, isqrt(r))))
     d = np.arange(1, r + 1, dtype=np.int64)
-    return int(np.sum(_mobius(data).astype(np.int64) * (x // (d * d))))
+    return int(np.sum(mu.astype(np.int64) * (x // (d * d))))
 
 
 WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -108,24 +108,20 @@ def fold_small_primes(
 class SegmentData:
     """Radical structure of the integers in [lo, hi) against small primes.
 
-    Small primes are those <= sqrt(hi-1).  A squarefree n is the product of
-    its small prime factors times at most one big prime factor.  Which
-    fields are filled depends on the walk that asked (``want_parity`` of
-    :func:`segment_radical_data`):
+    Small primes are those <= sqrt(hi-1); a squarefree n is the product of
+    its small prime factors and at most one big prime.  ``squarefree`` and
+    ``small`` (the small primes, ascending, for :func:`fold_small_primes`)
+    are always filled; ``want_parity`` of :func:`segment_radical_data`
+    picks the rest, and the fields not filled are None:
 
-    - parity readers (the Mobius walk, forced-sign hooks,
-      :func:`squarefree_count`) get
-      ``omega_parity``, the parity of the number of distinct prime
-      factors, meaningful on squarefree entries only; ``big`` and
-      ``big_prime`` are None;
-    - the hashing walk gets ``big``, the flat indices (n - lo) of the
-      squarefree n that have a big prime factor, and ``big_prime`` that
-      factor, int32 when hi <= 2^31 and int64 above (the dtype of the
-      radical product); ``omega_parity`` is None.
-
-    ``squarefree`` and ``small``, the small primes in ascending order, are
-    always filled; :func:`fold_small_primes` folds per-prime values over
-    them.
+    - True, for ``_mobius``, the one parity reader (behind
+      :func:`mertens_trace` and :func:`squarefree_count`; no sign hook
+      reads parity): ``omega_parity``, the parity of the number of
+      distinct prime factors, meaningful on squarefree entries only;
+    - False, for the multiplicative walk under every hook: ``big``, the
+      flat indices (n - lo) of the squarefree n with a big prime factor,
+      and ``big_prime`` that factor, int32 when hi <= 2^31 and int64
+      above (the dtype of the radical product).
     """
 
     lo: int
@@ -198,8 +194,9 @@ def segment_radical_data(
     )
 
 
-def _mobius(data: SegmentData) -> np.ndarray:
-    """mu(n) as int8 for each n of a parity segment: 1 - 2 * parity on squarefree n, else 0."""
+def _mobius(lo: int, hi: int, primes: PrimeTable) -> np.ndarray:
+    """mu(n) as int8 for n in [lo, hi): 1 - 2 * parity on squarefree n, else 0."""
+    data = segment_radical_data(lo, hi, primes, want_parity=True)
     mu = data.omega_parity.view(np.int8) * np.int8(-2)
     mu += 1
     mu *= data.squarefree
@@ -231,9 +228,8 @@ def mertens_trace(
     lo = 1
     while lo <= x:
         hi = min(lo + seg, x + 1)
-        data = segment_radical_data(lo, hi, primes, want_parity=True)
         carry, acc, total = walk_steps(
-            _mobius(data), lo, total, marks, carry, acc, values[0], changes[0], walk
+            _mobius(lo, hi, primes), lo, total, marks, carry, acc, values[0], changes[0], walk
         )
         lo = hi
     res = WalkResult(marks, values, changes)

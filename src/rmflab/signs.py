@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -68,6 +70,13 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
         np.right_shift(c, _NP_31, out=t)
         c ^= t
     return z
+
+
+def check_seed(master_seed: int) -> int:
+    """``master_seed`` if in [0, 2^63), else ``ParameterError`` (block_key reduces mod 2^64)."""
+    if not 0 <= master_seed < 1 << 63:
+        raise ParameterError(f"master seed must lie in [0, 2^63), got {master_seed}")
+    return master_seed
 
 
 def block_key(master_seed: int, block: int, salt: int) -> int:

@@ -109,13 +109,16 @@ class TestExitCodes:
             ["simulate", "--x", "1e3", "--sample-index", str(10**20), "--seed", "1"],
             ["simulate", "--x", "1e3", "--sample-index", str(10**20), "--seed", "1",
              "--model", "sidon_cosine"],
+            ["moments", "--model", "sidon_cosine", "--x", "2001"],
+            ["signprob", "--x", "100", "--N", "2", "--n-boot", "1"],
         ],
         ids=["signprob-x-nan", "signprob-x-inf", "signprob-N-0", "mertens-x-nan", "lambda-x-overflow",
              "signprob-x-past-int64", "signprob-n-boot-0", "events-N-0", "signprob-N-overflow",
              "correlations-max-m-equals-n", "correlations-max-m-below-n", "signprob-budget-negative",
              "moments-q-negative", "simulate-checkpoint-fractional", "avg-v-grid-overflow",
              "lambda-q-empty", "signprob-x-empty", "simulate-sample-index-past-2^63",
-             "simulate-sidon-sample-index-past-2^63"],
+             "simulate-sidon-sample-index-past-2^63", "moments-sidon-past-mian-chowla-limit",
+             "signprob-n-boot-1"],
     )
     def test_bad_number_exits_2(self, argv, capsys):
         if argv[0] not in ("mertens", "lambda", "simulate"):  # those without sampling options
@@ -127,10 +130,12 @@ class TestExitCodes:
         "argv",
         [
             ["moments", "--x", "100", "--n-boot", "0"],
+            ["moments", "--x", "100", "--n-boot", "1"],
             ["correlations", "--x", "100", "--n", "3", "--m", "2"],
             ["correlations", "--x", "100", "--n", "2", "--m", "2"],
         ],
-        ids=["moments-n-boot-0", "correlations-m-below-n", "correlations-m-equals-n"],
+        ids=["moments-n-boot-0", "moments-n-boot-1", "correlations-m-below-n",
+             "correlations-m-equals-n"],
     )
     def test_bad_plan_exits_2_before_walking(self, argv, monkeypatch, capsys):
         def no_walk(*args, **kwargs):
@@ -139,6 +144,37 @@ class TestExitCodes:
         monkeypatch.setattr("rmflab.montecarlo.collect_walks", no_walk)
         assert run([*argv, "--seed", "1", "--samples", "4"]) == 2
         assert "rmflab: error: parameter:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**63), str(2**64 - 1), str(2**65 - 1)])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--x", "100"],
+            ["moments", "--x", "100", "--samples", "4"],
+            ["correlations", "--x", "100", "--m", "2", "--samples", "4"],
+            ["events", "--x", "100", "--N", "2", "--samples", "4"],
+            ["signprob", "--x", "100", "--N", "2", "--samples", "4"],
+            ["avg-v", "--x", "100", "--samples", "4"],
+            ["selftest"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_outside_its_domain_exits_2(self, argv, seed, monkeypatch, tmp_path, capsys):
+        # seeds that alias mod 2^64 would print identical records
+        def no_run(*args, **kwargs):
+            raise AssertionError("a walk or criterion ran")
+
+        monkeypatch.setattr("rmflab.montecarlo.collect_walks", no_run)
+        monkeypatch.setattr("rmflab.models.collect_walks", no_run)
+        monkeypatch.setattr("rmflab.acceptance.run_all", no_run)
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        assert run([*argv, "--config", str(cfg)]) == 2
+        assert "rmflab: error: parameter: config key seed" in capsys.readouterr().err
 
     def test_bad_budget_environment_exits_2(self, monkeypatch, capsys):
         for env in ("abc", "0"):

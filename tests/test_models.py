@@ -9,6 +9,8 @@ from rmflab.analysis import count_sign_changes
 from rmflab.errors import ParameterError
 from rmflab.models import (
     KINDS,
+    MARTINGALE_A,
+    MARTINGALE_B,
     MIAN_CHOWLA_MAX,
     SALT_MARTINGALE,
     ModelSpec,
@@ -19,10 +21,10 @@ from rmflab.models import (
 )
 
 
-def martingale_per_integer(model, x_end, marks, samples, master_seed):
+def martingale_per_integer(a, b, x_end, marks, samples, master_seed):
     """Reference bounded-martingale walk: one step for all samples per integer.
 
-    M(n) = M(n-1) + r_n s_n with s_n = B if M(n-1) <= 0 else A, the change
+    M(n) = M(n-1) + r_n s_n with s_n = b if M(n-1) <= 0 else a, the change
     count kept by a direct zero-skip comparison against the last nonzero sign.
     """
     samples = np.asarray(samples, dtype=np.int64)
@@ -40,7 +42,7 @@ def martingale_per_integer(model, x_end, marks, samples, master_seed):
     for n in range(1, x_end + 1):
         words = signs.mix64_array(keys ^ np.uint64(signs.mix64((n * signs.GOLDEN) & signs.MASK64)))
         r = 1.0 - 2.0 * ((words >> lanes) & np.uint64(1)).astype(np.float64)
-        m += r * np.where(m <= 0.0, model.martingale_hi, model.martingale_lo)
+        m += r * np.where(m <= 0.0, b, a)
         s = np.sign(m).astype(np.int8)
         nz = s != 0
         counts += (nz & (last_sign != 0) & (s != last_sign)).astype(np.int64)
@@ -125,8 +127,8 @@ class TestSamplePath:
         res = collect_walks(spec, 200, list(range(1, 201)), range(3), 5)
         steps = np.diff(np.hstack([np.zeros((3, 1)), res.values]), axis=1)
         mags = np.abs(steps)
-        assert np.all((mags >= spec.martingale_lo - 1e-12))
-        assert np.all((mags <= spec.martingale_hi + 1e-12))
+        assert np.all((mags >= MARTINGALE_A - 1e-12))
+        assert np.all((mags <= MARTINGALE_B + 1e-12))
 
     def test_checkpoint_validation(self):
         with pytest.raises(ParameterError):
@@ -158,14 +160,17 @@ def test_every_kind_splits_samples_between_workers(kind, monkeypatch):
 class TestMartingaleWalk:
     SAMPLES = range(60, 135)  # crosses blocks 0, 1 and 2, partial at both ends
 
-    @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (1.0, 1.0), (0.3, 0.9), (0.25, 2.0)])
-    def test_matches_per_integer_reference(self, lo, hi, monkeypatch):
-        # segments of 256 integers put marks on both sides of segment edges
+    @pytest.mark.parametrize("a, b", [(0.5, 1.0), (1.0, 1.0), (0.3, 0.9), (0.25, 2.0)])
+    def test_matches_per_integer_reference(self, a, b, monkeypatch):
+        # segments of 256 integers put marks on both sides of segment edges;
+        # the walk reads its amplitudes from the module at call time
         monkeypatch.setattr(engine, "MIN_SEGMENT", 256)
-        spec = ModelSpec("bounded_martingale", martingale_lo=lo, martingale_hi=hi)
+        monkeypatch.setattr(models, "MARTINGALE_A", a)
+        monkeypatch.setattr(models, "MARTINGALE_B", b)
+        spec = ModelSpec("bounded_martingale")
         x_end = 1500
         marks = [1, 2, 64, 65, 255, 256, 257, 512, 513, 1024, x_end]
-        ref_values, ref_changes = martingale_per_integer(spec, x_end, marks, self.SAMPLES, 17)
+        ref_values, ref_changes = martingale_per_integer(a, b, x_end, marks, self.SAMPLES, 17)
         res = collect_walks(spec, x_end, marks, self.SAMPLES, 17)
         assert np.array_equal(res.values, ref_values)
         assert np.array_equal(res.changes, ref_changes)

@@ -124,8 +124,35 @@ class TestPlan:
             ExperimentPlan(master_seed=1, samples=0)
         with pytest.raises(ParameterError):
             ExperimentPlan(master_seed=1, samples=4, workers=0)
-        with pytest.raises(ParameterError, match="n_boot >= 1"):
-            ExperimentPlan(master_seed=1, samples=4, n_boot=0)
+        for n_boot in (0, 1):
+            with pytest.raises(ParameterError, match="n_boot >= 2"):
+                ExperimentPlan(master_seed=1, samples=100, n_boot=n_boot)
+
+    def test_one_resample_is_refused(self):
+        # the standard error of one resample, std(ddof=1), is undefined
+        vals = np.arange(100, dtype=np.float64)
+        with pytest.raises(ParameterError, match="n_boot >= 2"):
+            bootstrap_estimate(vals, 1, "one", 1)
+        assert math.isfinite(bootstrap_estimate(vals, 1, "two", 2).se)
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1, 2**65 - 1])
+    def test_seed_outside_its_domain_is_refused(self, seed):
+        # block_key reduces a seed mod 2^64, so -1, 2^64 - 1 and 2^65 - 1
+        # would share one stream; every entry point refuses them
+        calls = [
+            lambda: ExperimentPlan(master_seed=seed, samples=4),
+            lambda: SignOracle(seed),
+            lambda: models.collect_walks(ModelSpec("iid_rademacher"), 10, [10], range(4), seed),
+            lambda: sample_path(ModelSpec("sidon_cosine"), 10, seed),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match=r"master seed must lie in \[0, 2\^63\)"):
+                call()
+
+    def test_seed_domain_ends_below_2_63(self):
+        top = 2**63 - 1
+        assert rmf_trace(SignOracle(top), 100).x_end == 100
+        assert estimate_moment(plan(seed=top, samples=8, n_boot=2), 100.0, 1.0).seed == top
 
     def test_regime_flags(self):
         flags = regime_flags(math.exp(200.0), 8)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -79,3 +80,8 @@ def test_sources_have_one_scale_channel():
 def test_samples_are_one_range():
     # a walk's samples are a step-1 range, cut into blocks by arithmetic
     assert not hasattr(rmflab.engine, "block_starts")
+
+
+def test_model_spec_is_its_kind():
+    # the bounded martingale's amplitudes are module constants, not fields
+    assert [f.name for f in dataclasses.fields(rmflab.ModelSpec)] == ["kind"]

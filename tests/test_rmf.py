@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rmflab import models, signs
+from rmflab import engine, models, signs
 from rmflab.engine import PartialSumTrace, run_walks
 from rmflab.errors import ParameterError, ResourceError
 from rmflab.montecarlo import ExperimentPlan, _checkpoint_matrix, bootstrap_estimate
@@ -130,11 +130,17 @@ class TestTrace:
         nz = s[s != 0]
         assert tr.sign_change_count == int(np.count_nonzero(nz[1:] != nz[:-1]))
 
-    def test_minus_hook_equals_mertens(self):
+    @pytest.mark.parametrize("min_segment", [2**20, 256])
+    def test_minus_hook_equals_mertens(self, min_segment, monkeypatch):
+        # the minus walk runs the hash walk's XOR fold and big-prime scatter,
+        # Mertens reads mu from the sieve's parity; a MIN_SEGMENT of 256 cuts
+        # the walk into 317 segments of isqrt(10^5) = 316
         from rmflab.sieve import mertens_trace
 
-        tr = rmf_trace(SignOracle(0, hook="minus"), 10**4, checkpoints=[100, 5000])
-        mt = mertens_trace(10**4, checkpoints=[100, 5000])
+        monkeypatch.setattr(engine, "MIN_SEGMENT", min_segment)
+        checkpoints = [100, 5000, 65536]
+        tr = rmf_trace(SignOracle(0, hook="minus"), 10**5, checkpoints=checkpoints)
+        mt = mertens_trace(10**5, checkpoints=checkpoints)
         assert tr.final_value == mt.final_value
         assert tr.sign_change_count == mt.sign_change_count
         assert tr.checkpoint_values == mt.checkpoint_values

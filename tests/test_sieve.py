@@ -76,8 +76,7 @@ class TestSquarefreeCount:
 class TestMobius:
     def test_against_sympy(self):
         # the mu(d) that squarefree_count reads, from one parity segment
-        data = segment_radical_data(1, 1501, primes_up_to(38), want_parity=True)
-        mu = sieve._mobius(data)
+        mu = sieve._mobius(1, 1501, primes_up_to(38))
         assert mu.tolist() == [int(sympy.mobius(n)) for n in range(1, 1501)]
 
 
