@@ -47,6 +47,7 @@ import numpy as np
 
 from .census import change_positions_chunk, count_to_marks, walk_steps
 from .errors import ParameterError, ResourceError
+from .signs import check_seed
 
 DEFAULT_BUDGET = 10**9
 MIN_SEGMENT = 1 << 20
@@ -181,7 +182,8 @@ def run_walks(
 ) -> WalkResult:
     """Walk a sample range to ``x_end`` in this process, reporting at ``marks``.
 
-    Row i is sample ``sample_indices.start + i`` (see :func:`walk_inputs`).
+    Row i is sample ``sample_indices.start + i`` (see :func:`walk_inputs`);
+    the source's ``master_seed`` must lie in [0, 2^63) (:func:`signs.check_seed`).
     Segments are ``segment_length_for(x_end)`` integers long, and every
     lane walks each segment in pieces of ``PIECE`` integers; a float walk
     is the sequential sum of its steps, so no segment or piece length
@@ -200,6 +202,7 @@ def run_walks(
     """
     if first_change and not census:
         raise ParameterError("first_change needs a census run")
+    check_seed(source.master_seed)
     x_end, marks, samples = walk_inputs(x_end, marks, sample_indices, budget)
     seg_len = segment_length_for(x_end)
     state = source.begin(x_end)

@@ -24,6 +24,7 @@ a sample range between worker processes.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -325,9 +326,10 @@ def collect_walks(
 
     Row i is sample ``sample_indices.start + i`` of a step-1 ``range``.
     The one place where samples are split between processes:
-    :func:`engine.block_runs` cuts the range into at most ``workers`` (at
-    least 1, else ``ParameterError``) runs of whole 64-sample blocks.  Each
-    run is walked in its own process by the model's one-process walker
+    :func:`engine.block_runs` cuts the range into runs of whole 64-sample
+    blocks, at most ``workers`` (at least 1, else ``ParameterError``) and
+    no more than the CPUs this process may use.  Each run is walked in its
+    own process by the model's one-process walker
     (:func:`run_walks` for rmf, iid and harmonic, the Sidon and martingale
     collectors otherwise), and the runs are concatenated in sample order.
     A sample's row depends only on (model, seed, sample, marks), so the
@@ -345,7 +347,8 @@ def collect_walks(
         # built once here: a worker rebuilding mian_chowla(1000) pays ~4 s
         terms = np.asarray(mian_chowla(x_end).elements, dtype=np.float64)
     walk = partial(_walk_run, model, master_seed, x_end, marks, census, first_change, terms)
-    runs = block_runs(samples, workers)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    runs = block_runs(samples, min(workers, cpus or 1))
     if len(runs) == 1:
         values, changes = walk(samples)
     else:

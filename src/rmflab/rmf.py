@@ -21,6 +21,11 @@ from .errors import ParameterError
 from .sieve import fold_small_primes, primes_up_to, segment_radical_data
 
 
+def _check_hook(hook: str) -> None:
+    if hook not in ("hash", "minus"):
+        raise ParameterError(f"unknown oracle hook {hook!r}")
+
+
 @dataclass(frozen=True)
 class SignOracle:
     """Deterministic prime-sign map for one sample of f.
@@ -34,19 +39,22 @@ class SignOracle:
     hook: str = "hash"
 
     def __post_init__(self):
-        if self.hook not in ("hash", "minus"):
-            raise ParameterError(f"unknown oracle hook {self.hook!r}")
+        _check_hook(self.hook)
         signs.check_seed(self.master_seed)
 
 
 @dataclass(frozen=True)
 class RmfWordSource:
     """Engine source streaming sign-parity words of f: n's word XORs its prime
-    factors' words, keyed hashes, or all ones (f(p) = -1) under hook "minus"."""
+    factors' words (the big one from :meth:`sieve.SegmentData.big_primes`; no
+    parity is read), keyed hashes, or all ones (f(p) = -1) under hook "minus"."""
 
     master_seed: int
     hook: str = "hash"
     float_walk = False
+
+    def __post_init__(self):
+        _check_hook(self.hook)
 
     def begin(self, x_end: int):
         primes = primes_up_to(max(2, isqrt(x_end)))
@@ -54,17 +62,17 @@ class RmfWordSource:
 
     def segment(self, state, lo: int, hi: int):
         data = segment_radical_data(lo, hi, state["primes"])
-        return {"data": data, "pm": state["pm"][: data.small.size],
-                "mc": signs.premix(data.big_prime)}
+        big, big_prime = data.big_primes()
+        return {"lo": lo, "hi": hi, "small": data.small, "squarefree": data.squarefree,
+                "big": big, "pm": state["pm"][: data.small.size], "mc": signs.premix(big_prime)}
 
     def block_words(self, ctx, block: int):
         """Sign-parity words of one block, exact on squarefree n; the scale is that mask."""
-        data = ctx["data"]
         key = signs.block_key(self.master_seed, block, signs.SALT_PRIME)
         hsmall = self._prime_words(ctx["pm"], key)
-        words = fold_small_primes(np.bitwise_xor, hsmall, data.small, data.lo, data.hi)
-        words[data.big] ^= self._prime_words(ctx["mc"], key)
-        return words, data.squarefree
+        words = fold_small_primes(np.bitwise_xor, hsmall, ctx["small"], ctx["lo"], ctx["hi"])
+        words[ctx["big"]] ^= self._prime_words(ctx["mc"], key)
+        return words, ctx["squarefree"]
 
     def _prime_words(self, premixed: np.ndarray, key: int) -> np.ndarray:
         if self.hook == "minus":

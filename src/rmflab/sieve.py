@@ -1,7 +1,8 @@
 """Deterministic number-theoretic kernels.
 
 Everything here is exact integer arithmetic: prime tables, segmented
-radical/squarefree data, the squarefree counting function
+radical/squarefree data (one shape, :class:`SegmentData`, with two views:
+mu and the big-prime split), the squarefree counting function
 
     Q(x) = #{n <= x : n squarefree} = sum_{d <= sqrt(x)} mu(d) * floor(x/d^2),
 
@@ -15,8 +16,8 @@ The Mertens walk cross-checks the sampling engine: it equals the
 multiplicative walk with every sign set to -1.  It shares the engine's
 request checks (``walk_inputs``), segment length (``segment_length_for``),
 step walker (``census.walk_steps``) and ``PartialSumTrace``, but not its
-sign words or lane decode: each mu(n) comes straight from the radical
-data's parity.
+sign words or lane decode: each mu(n) comes straight from
+:meth:`SegmentData.mobius`.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def squarefree_count(x: int) -> int:
         raise ParameterError(f"squarefree_count needs x >= 1, got {x}")
     x = int(x)
     r = isqrt(x)
-    mu = _mobius(1, r + 1, primes_up_to(max(2, isqrt(r))))
+    mu = segment_radical_data(1, r + 1, primes_up_to(max(2, isqrt(r)))).mobius()
     d = np.arange(1, r + 1, dtype=np.int64)
     return int(np.sum(mu.astype(np.int64) * (x // (d * d))))
 
@@ -109,33 +110,42 @@ class SegmentData:
     """Radical structure of the integers in [lo, hi) against small primes.
 
     Small primes are those <= sqrt(hi-1); a squarefree n is the product of
-    its small prime factors and at most one big prime.  ``squarefree`` and
-    ``small`` (the small primes, ascending, for :func:`fold_small_primes`)
-    are always filled; ``want_parity`` of :func:`segment_radical_data`
-    picks the rest, and the fields not filled are None:
-
-    - True, for ``_mobius``, the one parity reader (behind
-      :func:`mertens_trace` and :func:`squarefree_count`; no sign hook
-      reads parity): ``omega_parity``, the parity of the number of
-      distinct prime factors, meaningful on squarefree entries only;
-    - False, for the multiplicative walk under every hook: ``big``, the
-      flat indices (n - lo) of the squarefree n with a big prime factor,
-      and ``big_prime`` that factor, int32 when hi <= 2^31 and int64
-      above (the dtype of the radical product).
+    its small prime factors and at most one big prime.  Every field is
+    filled on every call: ``squarefree``; ``small``, the small primes,
+    ascending, for :func:`fold_small_primes`; ``radical``, the product of
+    n's small prime factors, int32 when hi <= 2^31 and int64 above;
+    ``odd``, whether their number is odd; and ``has_big``, whether n is
+    squarefree with a big prime factor.  Two views read them: mu for
+    :func:`mertens_trace` and :func:`squarefree_count`, and the big-prime
+    split for the multiplicative walk under every hook.
     """
 
     lo: int
     hi: int
     squarefree: np.ndarray
-    big: np.ndarray | None
-    big_prime: np.ndarray | None
     small: np.ndarray
-    omega_parity: np.ndarray | None = None
+    radical: np.ndarray
+    odd: np.ndarray
+    has_big: np.ndarray
+
+    def mobius(self) -> np.ndarray:
+        """mu(n) as int8: 1 - 2 * (odd ^ has_big) on squarefree n, else 0."""
+        mu = (self.odd ^ self.has_big).view(np.int8) * np.int8(-2)
+        mu += 1
+        mu *= self.squarefree
+        return mu
+
+    def big_primes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(big, big_prime): the flat indices (n - lo) of the n with
+        ``has_big``, and that big prime factor in the dtype of ``radical``."""
+        big = np.flatnonzero(self.has_big)
+        big_prime = big.astype(self.radical.dtype)  # n < hi fits the product's dtype
+        big_prime += self.lo
+        big_prime //= self.radical[big]
+        return big, big_prime
 
 
-def segment_radical_data(
-    lo: int, hi: int, primes: PrimeTable, want_parity: bool = False
-) -> SegmentData:
+def segment_radical_data(lo: int, hi: int, primes: PrimeTable) -> SegmentData:
     """Sieve [lo, hi) by the small primes p <= isqrt(hi-1) of ``primes``.
 
     Each n gets the product of -p over its small prime factors p (a
@@ -144,10 +154,8 @@ def segment_radical_data(
     It is held in int32 when hi <= 2^31 (its absolute value is at most
     n < hi) and in int64 above.  A squarefree n (no small p^2 divides it)
     has a big prime factor exactly when that radical part is below n.
-
-    ``want_parity=True`` fills ``omega_parity``, and otherwise ``big`` and
-    ``big_prime`` (see :class:`SegmentData`).  Raises ``ParameterError``
-    for an empty segment, lo < 1 or a prime table short of isqrt(hi-1).
+    Raises ``ParameterError`` for an empty segment, lo < 1 or a prime
+    table short of isqrt(hi-1).
     """
     if not (1 <= lo < hi):
         raise ParameterError(f"segment [{lo}, {hi}) is empty or starts below 1")
@@ -160,7 +168,7 @@ def segment_radical_data(
     small = primes.primes[: np.searchsorted(primes.primes, lim, side="right")]
     dtype = np.int32 if hi <= 1 << 31 else np.int64
     prod = fold_small_primes(np.multiply, -small.astype(dtype), small, lo, hi)
-    negative = prod < 0 if want_parity else None
+    odd = prod < 0
     rad = np.abs(prod, out=prod)
     sqf = np.ones(L, dtype=bool)
     # a square p^2 >= L has at most one multiple in the segment
@@ -174,33 +182,8 @@ def segment_radical_data(
     # a squarefree n with a big prime q > lim has radical part n / q below
     # hi / (lim + 1) <= lim + 1, so past lim a comparison with lo suffices
     has_big = rad < (lo if lo > lim else np.arange(lo, hi, dtype=dtype))
-    if want_parity:
-        big = big_prime = None
-        parity = negative ^ has_big
-    else:
-        big = np.flatnonzero(has_big & sqf)
-        big_prime = big.astype(dtype)  # n < hi fits the product's dtype
-        big_prime += lo
-        big_prime //= rad[big]
-        parity = None
-    return SegmentData(
-        lo=lo,
-        hi=hi,
-        squarefree=sqf,
-        big=big,
-        big_prime=big_prime,
-        small=small,
-        omega_parity=parity,
-    )
-
-
-def _mobius(lo: int, hi: int, primes: PrimeTable) -> np.ndarray:
-    """mu(n) as int8 for n in [lo, hi): 1 - 2 * parity on squarefree n, else 0."""
-    data = segment_radical_data(lo, hi, primes, want_parity=True)
-    mu = data.omega_parity.view(np.int8) * np.int8(-2)
-    mu += 1
-    mu *= data.squarefree
-    return mu
+    has_big &= sqf
+    return SegmentData(lo, hi, sqf, small, rad, odd, has_big)
 
 
 def mertens_trace(
@@ -229,7 +212,8 @@ def mertens_trace(
     while lo <= x:
         hi = min(lo + seg, x + 1)
         carry, acc, total = walk_steps(
-            _mobius(lo, hi, primes), lo, total, marks, carry, acc, values[0], changes[0], walk
+            segment_radical_data(lo, hi, primes).mobius(), lo, total, marks, carry, acc,
+            values[0], changes[0], walk,
         )
         lo = hi
     res = WalkResult(marks, values, changes)

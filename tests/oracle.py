@@ -153,7 +153,7 @@ class AllPlusWordSource(RmfWordSource):
     """Engine source of the all-plus f: every lane steps +1 on each squarefree n."""
 
     def block_words(self, ctx, block: int):
-        sqf = ctx["data"].squarefree
+        sqf = ctx["squarefree"]
         return np.zeros(sqf.size, dtype=np.uint64), sqf
 
 

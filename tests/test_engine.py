@@ -273,3 +273,11 @@ def test_sparse_census_matches_dense_walk(monkeypatch, workers, piece, seg, dens
     assert np.array_equal(fast.changes, dense.changes)
     value_only = walks(8, census=False)
     assert np.array_equal(value_only.values, sparse.values)
+
+
+@pytest.mark.parametrize("source", [RmfWordSource, IidWordSource, HarmonicWordSource])
+@pytest.mark.parametrize("seed", [-1, -3, 2**63, 2**64 - 1])
+def test_run_walks_refuses_a_seed_outside_its_domain(source, seed):
+    # block_key reduces a seed mod 2^64: -1 would walk the stream of 2^64 - 1
+    with pytest.raises(ParameterError, match=r"master seed must lie in \[0, 2\^63\)"):
+        run_walks(source(seed), 100, [100], range(64))

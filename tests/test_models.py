@@ -1,4 +1,5 @@
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -137,7 +138,8 @@ class TestSamplePath:
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_kind_splits_samples_between_workers(kind, monkeypatch):
-    # 200 samples are 4 blocks: 2 and 3 workers each get contiguous runs
+    # 200 samples are 4 blocks: 2 workers get two contiguous runs, and so do
+    # 3 workers on 2 CPUs
     pools = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -146,15 +148,50 @@ def test_every_kind_splits_samples_between_workers(kind, monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(models, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     runs = [
         collect_walks(ModelSpec(kind), 300, [7, 150, 300], range(3, 203), 41, workers=w)
         for w in (1, 2, 3)
     ]
-    assert pools == [2, 3]
+    assert pools == [2, 2]
     for res in runs[1:]:
         assert res.values.dtype == runs[0].values.dtype
         assert np.array_equal(res.values, runs[0].values)
         assert np.array_equal(res.changes, runs[0].changes)
+
+
+@pytest.mark.parametrize("cpus, workers, pool", [(2, 100_000, 2), (4, 3, 3), (None, 100_000, 3)])
+def test_pool_is_capped_at_the_available_cpus(cpus, workers, pool, monkeypatch):
+    # 1000 samples are 16 blocks, walked here by a serial stand-in for the
+    # pool; cpus None is a platform without sched_getaffinity, where
+    # os.cpu_count (3 here) decides
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(models, "ProcessPoolExecutor", SerialPool)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    spec, marks = ModelSpec("rmf"), [7, 150, 300]
+    res = collect_walks(spec, 300, marks, range(1000), 41, workers=workers)
+    assert sizes == [pool]
+    ref = collect_walks(spec, 300, marks, range(1000), 41, workers=1)
+    assert np.array_equal(res.values, ref.values)
+    assert np.array_equal(res.changes, ref.changes)
 
 
 class TestMartingaleWalk:

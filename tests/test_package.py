@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -85,3 +86,12 @@ def test_samples_are_one_range():
 def test_model_spec_is_its_kind():
     # the bounded martingale's amplitudes are module constants, not fields
     assert [f.name for f in dataclasses.fields(rmflab.ModelSpec)] == ["kind"]
+
+
+def test_sieve_has_one_output_shape():
+    # mu and the big-prime split are two views of one SegmentData
+    params = inspect.signature(rmflab.sieve.segment_radical_data).parameters
+    assert list(params) == ["lo", "hi", "primes"]
+    assert not hasattr(rmflab.sieve, "_mobius")
+    data = rmflab.sieve.segment_radical_data(90, 200, rmflab.sieve.primes_up_to(14))
+    assert [f.name for f in dataclasses.fields(data) if getattr(data, f.name) is None] == []

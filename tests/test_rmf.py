@@ -54,8 +54,10 @@ class TestSignOracle:
             assert sign_of_prime(minus, p) == -1
 
     def test_unknown_hook(self):
-        with pytest.raises(ParameterError):
-            SignOracle(1, hook="bogus")
+        # a word source with a typo in its hook would otherwise walk the hash
+        for make in (SignOracle, RmfWordSource):
+            with pytest.raises(ParameterError, match="unknown oracle hook 'bogus'"):
+                make(1, hook="bogus")
 
     def test_nonprime_rejected_in_debug(self):
         with pytest.raises(ParameterError):

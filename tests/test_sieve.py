@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from rmflab import census, engine, sieve
+from rmflab import census, engine
 from rmflab.errors import ParameterError
 from rmflab.sieve import (
     PrimeTable,
@@ -75,8 +75,8 @@ class TestSquarefreeCount:
 
 class TestMobius:
     def test_against_sympy(self):
-        # the mu(d) that squarefree_count reads, from one parity segment
-        mu = sieve._mobius(1, 1501, primes_up_to(38))
+        # the mu(d) that squarefree_count reads, from one segment
+        mu = segment_radical_data(1, 1501, primes_up_to(38)).mobius()
         assert mu.tolist() == [int(sympy.mobius(n)) for n in range(1, 1501)]
 
 
@@ -126,12 +126,8 @@ class TestFactorSegment:
 
 class TestSegmentRadicalData:
     def test_parity_matches_sympy_omega_on_squarefrees(self):
-        primes = primes_up_to(100)
-        data = segment_radical_data(2, 500, primes, want_parity=True)
-        for n in range(2, 500):
-            i = n - 2
-            if data.squarefree[i]:
-                assert bool(data.omega_parity[i]) == (len(sympy.factorint(n)) % 2 == 1)
+        mu = segment_radical_data(2, 500, primes_up_to(100)).mobius()
+        assert mu.tolist() == [int(sympy.mobius(n)) for n in range(2, 500)]
 
     def test_squarefree_flags_match_sympy(self):
         primes = primes_up_to(100)
@@ -147,16 +143,15 @@ def test_segment_radical_data_matches_oracle(group):
         # a table reaching past isqrt(hi - 1): the sieve must ignore the excess
         primes = primes_up_to(max(2, 2 * math.isqrt(hi - 1)))
         sqf, big, big_prime, parity = radical_reference(lo, hi, primes)
-        data = segment_radical_data(lo, hi, primes, want_parity=True)
+        data = segment_radical_data(lo, hi, primes)
         assert np.array_equal(data.squarefree, sqf), (lo, hi)
-        assert np.array_equal(data.omega_parity[sqf], parity[sqf]), (lo, hi)
-        assert data.big is None and data.big_prime is None
-        plain = segment_radical_data(lo, hi, primes)
-        assert plain.omega_parity is None
-        assert np.array_equal(plain.squarefree, sqf), (lo, hi)
-        assert np.array_equal(plain.big, big), (lo, hi)
-        assert np.array_equal(plain.big_prime, big_prime), (lo, hi)
-        assert plain.big_prime.dtype == (np.int32 if hi <= 1 << 31 else np.int64)
+        mu = data.mobius()
+        assert mu.dtype == np.int8
+        assert np.array_equal(mu, np.where(sqf, 1 - 2 * parity.astype(np.int8), 0)), (lo, hi)
+        got_big, got_big_prime = data.big_primes()
+        assert np.array_equal(got_big, big), (lo, hi)
+        assert np.array_equal(got_big_prime, big_prime), (lo, hi)
+        assert got_big_prime.dtype == (np.int32 if hi <= 1 << 31 else np.int64)
 
 
 class TestMertens:
