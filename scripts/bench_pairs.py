@@ -23,12 +23,15 @@ parent's interquartile range, and by at least the fraction GAIN.
 The report also records each checkout's line count of ``src/rmflab``, the
 git commit its runs report and whether its tree has uncommitted changes,
 since a run from a changed tree reports the commit it started from (both
-null for a checkout without ``.git``).
+null for a checkout without ``.git``), and ``benchmark_identical``: whether
+both checkouts hold the same ``BENCHMARK.json`` and ``perfbench/`` files,
+since the workloads and bounds are read from the change side only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import statistics
@@ -60,6 +63,23 @@ def git_dirty(checkout: Path) -> bool | None:
     done = subprocess.run(["git", "status", "--porcelain"], cwd=checkout,
                           capture_output=True, text=True, check=True)
     return bool(done.stdout.strip())
+
+
+def benchmark_digest(checkout: Path) -> str:
+    """SHA-256 over ``BENCHMARK.json`` and the files under ``perfbench/``, by sorted path.
+
+    Each file adds its relative path, its length and its bytes;
+    ``__pycache__`` directories are skipped.
+    """
+    files = [
+        path.relative_to(checkout) for path in (checkout / "perfbench").rglob("*")
+        if path.is_file() and "__pycache__" not in path.relative_to(checkout).parts
+    ]
+    digest = hashlib.sha256()
+    for rel in [Path("BENCHMARK.json"), *sorted(files)]:
+        data = (checkout / rel).read_bytes()
+        digest.update(rel.as_posix().encode() + b"\0" + len(data).to_bytes(8, "little") + data)
+    return digest.hexdigest()
 
 
 def source_lines(checkout: Path) -> int:
@@ -167,6 +187,7 @@ def main(argv=None) -> int:
         "src_rmflab_lines": {**lines, "delta": lines["change"] - lines["parent"]},
         "commits": commits,
         "dirty": dirty,
+        "benchmark_identical": benchmark_digest(sides["parent"]) == benchmark_digest(sides["change"]),
         "workloads": report_workloads,
     }
     if args.claim:

@@ -207,8 +207,6 @@ def avg_v_plan(seed: int, workers: int) -> ExperimentPlan:
 
 
 def crit_sign_change_prob(seed: int, workers: int) -> tuple[bool, str]:
-    if pinned.THETA_SIGNPROB is None:
-        return False, "no pinned theta; run scripts/run_pilot.py first"
     xs = SIGNPROB_XS
     plan = signprob_plan(seed, workers)
     ests = [estimate_sign_change_prob(plan, x, SIGNPROB_N) for x in xs]
@@ -227,8 +225,6 @@ def crit_sign_change_prob(seed: int, workers: int) -> tuple[bool, str]:
 
 
 def crit_avg_v_growth(seed: int, workers: int) -> tuple[bool, str]:
-    if pinned.KAPPA_AVG_V is None:
-        return False, "no pinned kappa-hat; run scripts/run_pilot.py first"
     xs = avg_v_grid()
     table = expected_v_table(avg_v_plan(seed, workers), xs)
     ratios = []
@@ -260,8 +256,6 @@ def crit_harper_shape(seed: int, workers: int) -> tuple[bool, str]:
 
 
 def crit_mertens_baseline(seed: int, workers: int) -> tuple[bool, str]:
-    if pinned.MERTENS_1E6_CHANGES is None:
-        return False, "no pinned census; run scripts/run_pilot.py first"
     tr = mertens_trace(10**6)
     ok = (
         tr.sign_change_count == pinned.MERTENS_1E6_CHANGES

@@ -49,6 +49,7 @@ from .montecarlo import (
     resolve_budget,
     x_ell_grid,
 )
+from .rmf import grid_positions
 from .sieve import mertens_trace
 
 CSV_HEADER = (
@@ -369,6 +370,7 @@ def cmd_correlations(args) -> tuple[list[dict], int]:
     if args.max_m is not None:
         if args.max_m <= args.n:
             raise ParameterError(f"--max-m must exceed --n={args.n}, got {args.max_m}")
+        grid_positions(args.x, args.max_m)  # an overflowing grid is refused before any pair is built
         pairs = [(n, m) for n in range(args.n, args.max_m) for m in range(n + 1, args.max_m + 1)]
     elif args.m is not None:
         if args.m <= args.n:

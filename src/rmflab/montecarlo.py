@@ -304,10 +304,10 @@ def estimate_event_probs(
     plan: ExperimentPlan, x: float, N: int, epsilon: float = 0.1, delta: float = 0.1
 ) -> EventProbEstimates:
     check_event_params(epsilon, delta)
-    lam1 = lambda_exact(LambdaParams(N=N, q=1.0, x=x))
-    a, b, mixed, threshold_ok = forcing_events(
-        _checkpoint_matrix(plan, x, N), lam1, epsilon, delta
-    )
+    params = LambdaParams(N=N, q=1.0, x=x)
+    y = _checkpoint_matrix(plan, x, N)  # refuses an overflowing e^N x before Lambda's N terms
+    lam1 = lambda_exact(params)
+    a, b, mixed, threshold_ok = forcing_events(y, lam1, epsilon, delta)
     base = f"events|model={plan.model.kind}|x={x!r}|N={N}|eps={epsilon!r}|delta={delta!r}"
 
     def freq(events: np.ndarray, tag: str) -> EstimateWithCI:

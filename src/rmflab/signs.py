@@ -12,7 +12,9 @@ single uint64 XOR passes.
 
 The hash has a pure-Python form (``mix64``, for per-block keys and
 per-sample uniforms) and a vectorized numpy one (``mix64_array``, for sign
-words).  They must agree bit-for-bit (tested against each other and
+words), which hashes a 1-D uint64 array in place: ``premix`` and
+``keyed_words`` each make one fresh array and hash it, so their inputs are
+kept.  The two forms must agree bit-for-bit (tested against each other and
 against the scalar sign word in the tests' oracle), since reproducibility
 of every experiment hangs on this module.
 """
@@ -54,12 +56,10 @@ _CHUNK = 1 << 14  # elements per chunk: its eight passes stay in cache
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer applied elementwise to a uint64 array."""
-    z = z.astype(np.uint64, order="C", copy=True)
-    flat = z.reshape(-1)
-    scratch = np.empty(min(_CHUNK, flat.size), dtype=np.uint64)
-    for start in range(0, flat.size, _CHUNK):
-        c = flat[start : start + _CHUNK]
+    """splitmix64 finalizer applied in place to a 1-D uint64 array, which it returns."""
+    scratch = np.empty(min(_CHUNK, z.size), dtype=np.uint64)
+    for start in range(0, z.size, _CHUNK):
+        c = z[start : start + _CHUNK]
         t = scratch[: c.size]
         np.right_shift(c, _NP_30, out=t)
         c ^= t

@@ -216,6 +216,18 @@ def iid_expected_v(x: int) -> Fraction:
     return Fraction(1, 2) * sum(Fraction(comb(2 * k, k), 4**k) for k in range(1, (x - 1) // 2 + 1))
 
 
+def iid_expected_v_float(x: int) -> float:
+    """``iid_expected_v`` in floats, by c_k = c_(k-1) (2k - 1)/(2k) for c_k = C(2k, k)/4^k.
+
+    At x = 2^20 the exact fractions hold integers of about a million bits.
+    """
+    c, total = 1.0, 0.0
+    for k in range(1, (x - 1) // 2 + 1):
+        c *= (2 * k - 1) / (2 * k)
+        total += c
+    return total / 2
+
+
 @dataclass(frozen=True)
 class ExactRmfLaw:
     """Exact moments of the Rademacher multiplicative walk at one x."""
@@ -223,16 +235,18 @@ class ExactRmfLaw:
     expected_v: Fraction  # E V(x), zero-skip sign changes in [1, x]
     abs_mean: Fraction  # E |M(x)|
     second_moment: Fraction  # E M(x)^2
+    change_after: Fraction  # P(a change completes at some u in (after, x])
 
 
-def exact_rmf_law(x: int) -> ExactRmfLaw:
+def exact_rmf_law(x: int, after: int = 0) -> ExactRmfLaw:
     """The law of (V(x), M(x)) for f, by enumerating every prime-sign pattern.
 
     M(u) for u <= x depends only on f(p) for p <= x, so the 2^pi(x)
     patterns are equally likely and exhaust the law.  Each n <= x is
     factored by trial division (squarefree n only; f(1) = 1, f(n) = 0
     otherwise), and V is counted by a plain forward fill of the last
-    nonzero sign, one integer at a time across all patterns.  Nothing here
+    nonzero sign, one integer at a time across all patterns.  A change
+    completes in the window (after, x] when V(x) > V(after).  Nothing here
     uses ``rmflab.sieve`` or ``rmflab.census``.
     """
     primes = [int(p) for p in _primes_up_to(x)]
@@ -242,6 +256,7 @@ def exact_rmf_law(x: int) -> ExactRmfLaw:
     m = np.zeros(patterns.size, dtype=np.int64)
     last = np.zeros(patterns.size, dtype=np.int64)
     changes = np.zeros(patterns.size, dtype=np.int64)
+    before = changes.copy()
     for n in range(1, x + 1):
         factors = [j for j, p in enumerate(primes) if n % p == 0]
         if all(n % (primes[j] ** 2) for j in factors):
@@ -249,11 +264,14 @@ def exact_rmf_law(x: int) -> ExactRmfLaw:
         s = np.sign(m)
         changes += (s != 0) & (last != 0) & (s != last)
         last = np.where(s != 0, s, last)
+        if n == after:
+            before = changes.copy()
     total = patterns.size
     return ExactRmfLaw(
         expected_v=Fraction(int(changes.sum()), total),
         abs_mean=Fraction(int(np.abs(m).sum()), total),
         second_moment=Fraction(int((m * m).sum()), total),
+        change_after=Fraction(int((changes > before).sum()), total),
     )
 
 

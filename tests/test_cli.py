@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,18 @@ class TestCorrelationsCommand:
         assert re.findall(r"experiment=correlation\[(\d),(\d)\]", out) == [
             ("3", "4"), ("3", "5"), ("4", "5")
         ]
+
+    def test_overflowing_max_m_exits_2_before_building_pairs(self, capsys):
+        # e^2000 x overflows; the 2 x 10^6 pairs of --max-m 2000 would take over 200 MB
+        tracemalloc.start()
+        try:
+            code = run(["correlations", "--x", "1e3", "--max-m", "2000", "--samples", "4", "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "overflows" in capsys.readouterr().err
+        assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MiB traced"
 
 
 class TestMertensCommand:

@@ -329,6 +329,15 @@ class TestEvents:
                 estimate_event_probs(plan(samples=10), 100.0, 3, epsilon=eps, delta=delta)
         assert walk_ends == []
 
+    def test_overflowing_grid_is_refused_before_lambda(self, monkeypatch):
+        # Lambda sums N terms; e^N x overflows long before N = 10^6
+        def no_lambda(params):
+            raise AssertionError("lambda_exact ran")
+
+        monkeypatch.setattr(montecarlo, "lambda_exact", no_lambda)
+        with pytest.raises(ParameterError, match="overflows"):
+            estimate_event_probs(plan(samples=10), 1e4, 10**6)
+
 
 class TestCorrelation:
     def test_self_correlation_exact_one(self):

@@ -15,15 +15,20 @@ def test_mix64_scalar_matches_array(z):
 
 
 def test_mix64_array_across_chunks_and_layouts():
-    # long enough for several chunks and a ragged last one; the input is kept
+    # long enough for several chunks and a ragged last one; the hash runs in place
     z = np.random.default_rng(5).integers(0, 2**64, 3 * signs._CHUNK + 5, dtype=np.uint64)
-    before = z.copy()
-    out = signs.mix64_array(z)
-    assert np.array_equal(z, before)
-    assert out.tolist() == [signs.mix64(int(v)) for v in z]
-    grid = np.asfortranarray(z[:600].reshape(20, 30))
-    assert np.array_equal(signs.mix64_array(grid), out[:600].reshape(20, 30))
-    assert np.array_equal(signs.mix64_array(z[::7]), out[::7])
+    expected = [signs.mix64(int(v)) for v in z]
+    assert signs.mix64_array(z) is z
+    assert z.tolist() == expected
+    # a strided 1-D view hashes the elements it views, in its base, and no others
+    base = np.random.default_rng(6).integers(0, 2**64, 7 * 40 + 3, dtype=np.uint64)
+    before = base.copy()
+    view = base[::7]
+    assert signs.mix64_array(view) is view
+    assert base[::7].tolist() == [signs.mix64(int(v)) for v in before[::7]]
+    mask = np.ones(base.size, dtype=bool)
+    mask[::7] = False
+    assert np.array_equal(base[mask], before[mask])
     assert signs.mix64_array(z[:0]).size == 0
 
 
@@ -45,10 +50,13 @@ def test_sign_word_scalar_matches_array(key, value):
 def test_premix_then_keyed_words_match_sign_word(dtype, values):
     key = signs.block_key(2024, 3, signs.SALT_PRIME)
     arr = np.array(values, dtype=dtype)
-    words = signs.keyed_words(signs.premix(arr), key)
+    premixed = signs.premix(arr)
+    kept = premixed.copy()
+    words = signs.keyed_words(premixed, key)
     assert words.dtype == np.uint64
     assert words.tolist() == [sign_word(key, v) for v in values]
-    assert arr.tolist() == values  # the input is kept
+    assert arr.tolist() == values  # both inputs are kept
+    assert np.array_equal(premixed, kept)
 
 
 def test_sign_bits_deterministic():
