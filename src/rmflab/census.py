@@ -10,6 +10,10 @@ walks can be processed in streaming chunks and window counts
 
 stay exact across chunk boundaries.
 
+Every walker (engine, Sidon, martingale, Mertens) reads its walks through
+one :class:`Tally`, fed a row's pieces in order by :func:`count_to_marks`
+(partial sums) or :func:`walk_steps` (+-1/0 steps).
+
 Long chunks are scanned blockwise: a block whose min stays above zero (or
 max below) cannot contain a change beyond the single possible flip against
 the carry, so the expensive sign-compress pass only runs on blocks that
@@ -88,38 +92,65 @@ def count_changes_chunk(values: np.ndarray, carry_sign: int) -> tuple[int, int]:
     return changes, carry
 
 
-def count_to_marks(
-    m: np.ndarray,
-    start: int,
-    marks: np.ndarray,
-    carry: int,
-    acc: int,
-    values_row: np.ndarray,
-    changes_row: np.ndarray | None,
-) -> tuple[int, int]:
-    """Read one piece of a walk at its marks and count its changes.
+class Tally:
+    """A walk's outputs at its marks, and each row's state between pieces.
 
-    ``m[i]`` is M(start + i) and ``marks`` is sorted.  For every mark u in
-    the piece, ``values_row[j] = M(u)`` and, on census runs (``changes_row``
-    given), ``changes_row[j]`` is ``acc`` plus the changes completing up to
-    u.  ``carry``/``acc`` are the last nonzero sign and the change count
-    before the piece; the pair after it is returned, so a walk fed piece by
+    ``values[i, j]`` is row i's M(marks[j]) and ``changes[i, j]`` (census
+    walks only, else None) its sign changes completing in [1, marks[j]].
+    Between pieces a row keeps ``running`` (M so far), ``carry`` (the last
+    nonzero sign, 0 at first) and ``acc`` (changes so far); ``stopped``
+    marks the rows :meth:`stop_at_first_change` ended.
+    """
+
+    def __init__(self, rows: int, marks: np.ndarray, dtype, census: bool):
+        self.marks = marks
+        self.values = np.zeros((rows, marks.size), dtype=dtype)
+        self.changes = np.zeros((rows, marks.size), dtype=np.int64) if census else None
+        self.running = np.zeros(rows, dtype=dtype)
+        self.carry = np.zeros(rows, dtype=np.int64)
+        self.acc = np.zeros(rows, dtype=np.int64)
+        self.stopped = np.zeros(rows, dtype=bool)
+
+    def stop_at_first_change(self, row: int, m: np.ndarray, start: int, carry: int) -> None:
+        """End ``row`` at its first change after ``marks[0]``, at u in the piece m.
+
+        ``m[i]`` is M(start + i), entered with last nonzero sign ``carry``.
+        Marks from u on report M(u) and ``changes[row, 0] + 1``, so a change
+        in (marks[0], marks[j]] is still exactly ``changes[row, j] > changes[row, 0]``.
+        """
+        at, _ = change_positions_chunk(m, carry, start)
+        u = next(p for p in at if p > self.marks[0])
+        j = int(np.searchsorted(self.marks, u))
+        self.values[row, j:] = m[u - start]
+        self.changes[row, j:] = self.changes[row, 0] + 1
+        self.stopped[row] = True
+
+
+def count_to_marks(tally: Tally, row: int, m: np.ndarray, start: int) -> None:
+    """Read the next piece of a row's walk at its marks and count its changes.
+
+    ``m[i]`` is M(start + i).  For every mark u in the piece,
+    ``values[row, j] = M(u)`` and, on census walks, ``changes[row, j]``
+    counts the changes completing up to u.  The row's ``carry``, ``acc``
+    and ``running`` then stand at the piece's end, so a walk fed piece by
     piece counts exactly as if it were read whole.
     """
+    marks, changes = tally.marks, tally.changes
+    carry, acc = int(tally.carry[row]), int(tally.acc[row])
     end = start + m.size
     pos = 0
     for j in range(int(np.searchsorted(marks, start)), int(np.searchsorted(marks, end))):
         cut = int(marks[j]) - start
-        if changes_row is not None:
+        if changes is not None:
             delta, carry = count_changes_chunk(m[pos : cut + 1], carry)
             acc += delta
-            changes_row[j] = acc
-        values_row[j] = m[cut]
+            changes[row, j] = acc
+        tally.values[row, j] = m[cut]
         pos = cut + 1
-    if changes_row is not None and pos < m.size:
+    if changes is not None and pos < m.size:
         delta, carry = count_changes_chunk(m[pos:], carry)
         acc += delta
-    return carry, acc
+    tally.carry[row], tally.acc[row], tally.running[row] = carry, acc, m[-1]
 
 
 def change_positions_chunk(
@@ -138,26 +169,15 @@ def change_positions_chunk(
     return out, int(nz[-1])
 
 
-def walk_steps(
-    steps: np.ndarray,
-    start: int,
-    running: int,
-    marks: np.ndarray,
-    carry: int,
-    acc: int,
-    values_row: np.ndarray,
-    changes_row: np.ndarray | None,
-    out: np.ndarray,
-) -> tuple[int, int, int]:
-    """Walk one piece of int8 +-1/0 steps and read it at its marks.
+def walk_steps(tally: Tally, row: int, steps: np.ndarray, start: int, out: np.ndarray) -> None:
+    """Walk the next piece of a row in int8 +-1/0 steps and read it at its marks.
 
-    ``steps[i]`` is the step at integer start + i and ``running`` is
-    M(start - 1).  Marks, counts and ``carry``/``acc`` behave as in
-    :func:`count_to_marks` on ``cumsum(steps) + running``; the returned
-    triple is ``(carry, acc, running)`` after the piece.
+    ``steps[i]`` is the step at integer start + i, and the row's
+    ``running`` is M(start - 1).  Marks, counts and the row's state
+    advance as under :func:`count_to_marks` on ``cumsum(steps) + running``.
 
     A piece without a mark needs M only where it can change sign.  On a
-    value-only walk (``changes_row`` None) that is nowhere, so the piece is
+    value-only walk (``changes`` None) that is nowhere, so the piece is
     summed.  On a census walk it is summed in chunks of ``_CHUNK`` steps;
     a chunk starting at |M| >= ``_CHUNK`` keeps the sign of its start,
     which is already the carry, so it is dropped, and the other chunks are
@@ -166,10 +186,13 @@ def walk_steps(
     (at least ``steps.size`` long; its dtype holds every |M|).
     """
     n = steps.size
+    marks = tally.marks
+    running = tally.running[row]
     j = int(np.searchsorted(marks, start))
     if j == marks.size or marks[j] >= start + n:
-        if changes_row is None:
-            return carry, acc, running + int(steps.sum())
+        if tally.changes is None:
+            tally.running[row] = running + int(steps.sum())
+            return
         if n % _CHUNK == 0:
             chunks = steps.reshape(-1, _CHUNK)
             sums = chunks.sum(axis=1, dtype=np.int16)
@@ -181,11 +204,11 @@ def walk_steps(
                 if near.any():
                     rows = chunks[near].cumsum(axis=1, dtype=np.int16)
                     rows += before[near, None].astype(np.int16)
-                    delta, carry = count_changes_chunk(rows.ravel(), carry)
-                    acc += delta
-                return carry, acc, int(ends[-1])
+                    delta, tally.carry[row] = count_changes_chunk(rows.ravel(), int(tally.carry[row]))
+                    tally.acc[row] += delta
+                tally.running[row] = ends[-1]
+                return
     m = out[:n]
     steps.cumsum(dtype=m.dtype, out=m)
     m += m.dtype.type(running)
-    carry, acc = count_to_marks(m, start, marks, carry, acc, values_row, changes_row)
-    return carry, acc, int(m[-1])
+    count_to_marks(tally, row, m, start)

@@ -349,6 +349,10 @@ def cmd_moments(args) -> tuple[list[dict], int]:
 
 def cmd_lambda(args) -> tuple[list[dict], int]:
     qs = _parse_floats(args.q)
+    terms, budget = args.N * len(qs), resolve_budget(None)
+    if terms > budget:
+        raise ResourceError(f"lambda sums N * len(q) = {terms} terms but the budget is {budget}; "
+                            f"raise it via RMFLAB_BUDGET", required=terms)
     recs = []
     for q in qs:
         params = LambdaParams(

@@ -23,12 +23,12 @@ integers.  It provides three calls:
     steps, or (float walks) the float64 magnitudes.  A lane's step is its
     sign times ``scale``.
 
-Every lane walks each segment in pieces of ``PIECE`` integers through
-buffers allocated once per call.  An integer step is decoded from its
-lane bit into an int8 +-1/0 and the piece goes to
-:func:`census.walk_steps`, which takes partial sums only where the piece
-has a mark or can reach zero.  A float step is the magnitude with the lane
-bit moved into its sign bit, which negates it exactly.  A float piece
+Each lane is one row of a :class:`census.Tally` and walks each segment in
+pieces of ``PIECE`` integers through buffers allocated once per call.  An
+integer step is decoded from its lane bit into an int8 +-1/0 and the piece
+goes to :func:`census.walk_steps`, which takes partial sums only where the
+piece has a mark or can reach zero.  A float step is the magnitude with the
+lane bit moved into its sign bit, which negates it exactly.  A float piece
 carries the running value into its first step before its ``np.cumsum``,
 so a float walk is the plain sequential sum of its steps.  Outputs are
 therefore reproducible bit-for-bit for any segment or piece length, and
@@ -45,7 +45,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .census import change_positions_chunk, count_to_marks, walk_steps
+from .census import Tally, count_to_marks, walk_steps
 from .errors import ParameterError, ResourceError
 from .signs import check_seed
 
@@ -194,11 +194,9 @@ def run_walks(
     ``first_change=True`` (census runs only) is for callers that only ask
     whether a sign change follows ``marks[0]``: each lane stops at the end
     of the piece in which its first sign change after ``marks[0]``
-    completes, at integer u say.  Marks up to u report the walk's own count
-    and value; every later mark repeats those at u, so
-    ``changes[:, j] - changes[:, 0] >= 1`` is still exactly the indicator
-    of a change in (marks[0], marks[j]].  The output is then a function of
-    (source, sample, marks) alone.
+    completes, and later marks repeat the walk as it stood at that change
+    (:meth:`census.Tally.stop_at_first_change`).  The output is then a
+    function of (source, sample, marks) alone.
     """
     if first_change and not census:
         raise ParameterError("first_change needs a census run")
@@ -206,14 +204,8 @@ def run_walks(
     x_end, marks, samples = walk_inputs(x_end, marks, sample_indices, budget)
     seg_len = segment_length_for(x_end)
     state = source.begin(x_end)
-    n_rows, k = len(samples), marks.size
     float_walk = source.float_walk
-    values = np.zeros((n_rows, k), dtype=np.float64 if float_walk else np.int64)
-    changes = np.zeros((n_rows, k), dtype=np.int64) if census else None
-    running = np.zeros(n_rows, dtype=np.float64 if float_walk else np.int64)
-    carry_sign = np.zeros(n_rows, dtype=np.int64)
-    change_acc = np.zeros(n_rows, dtype=np.int64)
-    stopped = np.zeros(n_rows, dtype=bool)
+    tally = Tally(len(samples), marks, np.float64 if float_walk else np.int64, census)
     # |M(u)| <= u, so int32 partial sums are exact below the ceiling and
     # much faster; the walk still reports int64 values outward.
     cum_dtype = np.int32 if x_end < INT32_CEILING else np.int64
@@ -225,7 +217,7 @@ def run_walks(
     step8 = np.empty(piece_len, dtype=np.int8)
 
     one = np.uint64(1)
-    runs = block_runs(samples)  # after the per-row arrays, which fail first when too large
+    runs = block_runs(samples)  # after the tally, which fails first when too large
     lo = 1
     while lo <= x_end:
         hi = min(lo + seg_len, x_end + 1)
@@ -233,7 +225,7 @@ def run_walks(
         ctx = source.segment(state, lo, hi)
         for run in runs:
             rows = slice(run.start - samples.start, run.stop - samples.start)
-            if stopped[rows].all():
+            if tally.stopped[rows].all():
                 continue
             words, scale = source.block_words(ctx, run.start >> 6)
             if scale is not None:
@@ -241,17 +233,14 @@ def run_walks(
                 scale = scale.view(np.uint64 if float_walk else np.int8)
             for row, s in enumerate(run, rows.start):
                 lane = np.uint64(s & 63)
-                carry = int(carry_sign[row])
-                acc = int(change_acc[row])
-                changes_row = changes[row] if census else None
                 to_sign_bit = np.uint64(63) - lane
                 a = lo
-                while a < hi and not stopped[row]:
+                while a < hi and not tally.stopped[row]:
                     b = min(a + piece_len, hi)
                     span = slice(a - lo, b - lo)
                     t = scratch[: b - a]
                     m = walk[: b - a]
-                    piece_carry, piece_start = carry, running[row]
+                    piece_carry, piece_start = int(tally.carry[row]), tally.running[row]
                     if not float_walk:
                         np.right_shift(words[span], lane, out=t)
                         t &= one
@@ -261,9 +250,7 @@ def run_walks(
                         bit += np.int8(1)
                         if scale is not None:
                             bit *= scale[span]
-                        carry, acc, running[row] = walk_steps(
-                            bit, a, piece_start, marks, carry, acc, values[row], changes_row, walk
-                        )
+                        walk_steps(tally, row, bit, a, walk)
                     else:
                         # flipping a float's sign bit negates it exactly, so
                         # each step is exactly +-scale; carrying M in through
@@ -274,26 +261,15 @@ def run_walks(
                         step = t.view(np.float64)
                         step[0] += piece_start
                         step.cumsum(out=m)
-                        carry, acc = count_to_marks(
-                            m, a, marks, carry, acc, values[row], changes_row
-                        )
-                        running[row] = m[-1]
-                    if first_change and b > marks[0] and acc > changes[row, 0]:
+                        count_to_marks(tally, row, m, a)
+                    if first_change and b > marks[0] and tally.acc[row] > tally.changes[row, 0]:
                         # the first change after marks[0] completes in this
-                        # piece; later marks report the walk as it stood
-                        # there.  walk_steps may have skipped the piece's
+                        # piece.  walk_steps may have skipped the piece's
                         # partial sums, so they are taken again here.
                         if not float_walk:
                             bit.cumsum(dtype=m.dtype, out=m)
                             m += m.dtype.type(piece_start)
-                        at, _ = change_positions_chunk(m, piece_carry, a)
-                        u = next(p for p in at if p > marks[0])
-                        j = int(np.searchsorted(marks, u))
-                        values[row, j:] = m[u - a]
-                        changes[row, j:] = changes[row, 0] + 1
-                        stopped[row] = True
+                        tally.stop_at_first_change(row, m, a, piece_carry)
                     a = b
-                carry_sign[row] = carry
-                change_acc[row] = acc
         lo = hi
-    return WalkResult(marks, values, changes)
+    return WalkResult(marks, tally.values, tally.changes)

@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import signs
-from .census import count_to_marks
+from .census import Tally, count_to_marks
 from .engine import (
     PartialSumTrace,
     WalkResult,
@@ -207,16 +207,10 @@ def _sidon_phase(master_seed: int, sample_index: int) -> float:
     return 2.0 * math.pi * signs.uniform01(master_seed, sample_index, SALT_SIDON)
 
 
-def _collect_sidon(
-    terms: np.ndarray,
-    marks: np.ndarray,
-    samples: range,
-    master_seed: int,
-    census: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _collect_sidon(terms: np.ndarray, marks: np.ndarray, samples: range, master_seed: int,
+                   census: bool) -> WalkResult:
     x_end = terms.size
-    values = np.zeros((len(samples), marks.size))
-    changes = np.zeros((len(samples), marks.size), dtype=np.int64) if census else None
+    tally = Tally(len(samples), marks, np.float64, census)
     phases = np.array([_sidon_phase(master_seed, s) for s in samples])
     # rows per chunk: keeps the three chunk-sized float temporaries near
     # 1.6 MB, in cache (at 16 MB two workers shared memory bandwidth and
@@ -227,8 +221,8 @@ def _collect_sidon(
         i1 = min(i0 + chunk, len(samples))
         m = np.cumsum(root2 * np.cos(np.outer(phases[i0:i1], terms)), axis=1)
         for row, path in zip(range(i0, i1), m):
-            count_to_marks(path, 1, marks, 0, 0, values[row], changes[row] if census else None)
-    return values, changes
+            count_to_marks(tally, row, path, 1)
+    return WalkResult(marks, tally.values, tally.changes)
 
 
 def _martingale_piece(r: np.ndarray, m: float, lo: float, hi: float) -> np.ndarray:
@@ -261,18 +255,9 @@ def _martingale_piece(r: np.ndarray, m: float, lo: float, hi: float) -> np.ndarr
     return out
 
 
-def _collect_martingale(
-    x_end: int,
-    marks: np.ndarray,
-    samples: range,
-    master_seed: int,
-    census: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    values = np.zeros((len(samples), marks.size))
-    changes = np.zeros((len(samples), marks.size), dtype=np.int64) if census else None
-    running = np.zeros(len(samples))
-    carry_sign = np.zeros(len(samples), dtype=np.int64)
-    change_acc = np.zeros(len(samples), dtype=np.int64)
+def _collect_martingale(x_end: int, marks: np.ndarray, samples: range, master_seed: int,
+                        census: bool) -> WalkResult:
+    tally = Tally(len(samples), marks, np.float64, census)
     seg_len = segment_length_for(x_end)
     runs = block_runs(samples)
     one = np.uint64(1)
@@ -283,31 +268,21 @@ def _collect_martingale(
             words = signs.keyed_words(mn, key)
             for row, s in enumerate(run, run.start - samples.start):
                 r = 1.0 - 2.0 * ((words >> np.uint64(s & 63)) & one).astype(np.float64)
-                m = _martingale_piece(r, running[row], MARTINGALE_A, MARTINGALE_B)
-                carry_sign[row], change_acc[row] = count_to_marks(
-                    m,
-                    lo,
-                    marks,
-                    int(carry_sign[row]),
-                    int(change_acc[row]),
-                    values[row],
-                    changes[row] if census else None,
-                )
-                running[row] = m[-1]
-    return values, changes
+                m = _martingale_piece(r, tally.running[row], MARTINGALE_A, MARTINGALE_B)
+                count_to_marks(tally, row, m, lo)
+    return WalkResult(marks, tally.values, tally.changes)
 
 
 def _walk_run(model, master_seed, x_end, marks, census, first_change, terms, samples):
-    """(values, changes) of one validated sample range, walked in this process."""
+    """The walks of one validated sample range, in this process."""
     if model.kind == "sidon_cosine":
         return _collect_sidon(terms, marks, samples, master_seed, census)
     if model.kind == "bounded_martingale":
         return _collect_martingale(x_end, marks, samples, master_seed, census)
     sources = {"rmf": RmfWordSource, "iid_rademacher": IidWordSource,
                "harmonic_rademacher": HarmonicWordSource}
-    res = run_walks(sources[model.kind](master_seed), x_end, marks, samples,
-                    census=census, first_change=first_change)
-    return res.values, res.changes
+    return run_walks(sources[model.kind](master_seed), x_end, marks, samples,
+                     census=census, first_change=first_change)
 
 
 def collect_walks(
@@ -331,7 +306,8 @@ def collect_walks(
     no more than the CPUs this process may use.  Each run is walked in its
     own process by the model's one-process walker
     (:func:`run_walks` for rmf, iid and harmonic, the Sidon and martingale
-    collectors otherwise), and the runs are concatenated in sample order.
+    collectors otherwise), each reading its walks through one
+    :class:`census.Tally`, and the runs are concatenated in sample order.
     A sample's row depends only on (model, seed, sample, marks), so the
     output is bit-identical for every worker count.  ``first_change``
     stops each rmf, iid or harmonic lane at its first sign change after
@@ -350,13 +326,11 @@ def collect_walks(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     runs = block_runs(samples, min(workers, cpus or 1))
     if len(runs) == 1:
-        values, changes = walk(samples)
-    else:
-        with ProcessPoolExecutor(max_workers=len(runs)) as pool:
-            parts = list(pool.map(walk, runs))
-        values = np.concatenate([v for v, _ in parts])
-        changes = np.concatenate([c for _, c in parts]) if census else None
-    return WalkResult(marks, values, changes)
+        return walk(samples)
+    with ProcessPoolExecutor(max_workers=len(runs)) as pool:
+        parts = list(pool.map(walk, runs))
+    changes = np.concatenate([p.changes for p in parts]) if census else None
+    return WalkResult(marks, np.concatenate([p.values for p in parts]), changes)
 
 
 def sample_path(

@@ -14,10 +14,11 @@ to x (primes up to isqrt(x)).  No ceiling on x is enforced here beyond
 
 The Mertens walk cross-checks the sampling engine: it equals the
 multiplicative walk with every sign set to -1.  It shares the engine's
-request checks (``walk_inputs``), segment length (``segment_length_for``),
-step walker (``census.walk_steps``) and ``PartialSumTrace``, but not its
-sign words or lane decode: each mu(n) comes straight from
-:meth:`SegmentData.mobius`.
+request checks (``walk_inputs``), segment length (``segment_length_for``)
+and ``PartialSumTrace``, and is one row of a :class:`census.Tally` fed
+segment by segment to ``census.walk_steps``, as an engine lane is fed
+piece by piece; it has no sign words or lane decode: each mu(n) comes
+straight from :meth:`SegmentData.mobius`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import isqrt
 
 import numpy as np
 
-from .census import walk_steps
+from .census import Tally, walk_steps
 from .engine import (
     INT32_CEILING,
     PartialSumTrace,
@@ -193,28 +194,18 @@ def mertens_trace(
 
     mu(n) is read from the segmented radical data, with no sign word or
     lane decode, so the walk cross-checks the multiplicative walk with all
-    signs set to -1; the steps go through the engine's
-    :func:`census.walk_steps`.  ``budget`` bounds the x steps as it bounds
-    one sample's walk; the default is unbounded.
+    signs set to -1; the steps go to one :class:`census.Tally` row through
+    :func:`census.walk_steps`, as an engine lane's do.  ``budget`` bounds
+    the x steps as it bounds one sample's walk; the default is unbounded.
     """
     reqs = checkpoints or []
     x, marks, _ = walk_inputs(x, [*reqs, x], range(1), budget)
     primes = primes_up_to(max(2, isqrt(x)))
     seg = segment_length_for(x)
-    values = np.zeros((1, marks.size), dtype=np.int64)
-    changes = np.zeros((1, marks.size), dtype=np.int64)
+    tally = Tally(1, marks, np.int64, census=True)
     # |M(u)| <= u: int32 partial sums are exact below the ceiling
     walk = np.empty(min(seg, x), dtype=np.int32 if x < INT32_CEILING else np.int64)
-    total = 0
-    carry = 0
-    acc = 0
-    lo = 1
-    while lo <= x:
-        hi = min(lo + seg, x + 1)
-        carry, acc, total = walk_steps(
-            segment_radical_data(lo, hi, primes).mobius(), lo, total, marks, carry, acc,
-            values[0], changes[0], walk,
-        )
-        lo = hi
-    res = WalkResult(marks, values, changes)
-    return PartialSumTrace.of_walk(res, reqs)
+    for lo in range(1, x + 1, seg):
+        walk_steps(tally, 0, segment_radical_data(lo, min(lo + seg, x + 1), primes).mobius(),
+                   lo, walk)
+    return PartialSumTrace.of_walk(WalkResult(marks, tally.values, tally.changes), reqs)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rmflab import census
 from rmflab.census import (
+    Tally,
     change_positions_chunk,
     count_changes_chunk,
     count_to_marks,
@@ -70,6 +71,19 @@ def test_positions_mark_later_element():
     assert pos == [0, 1]
 
 
+def tally_at(marks, census, running=0, carry=0, acc=0):
+    """A one-row int64 tally whose row starts mid-walk at the given state."""
+    t = Tally(1, np.asarray(marks, dtype=np.int64), np.int64, census)
+    t.running[0], t.carry[0], t.acc[0] = running, carry, acc
+    return t
+
+
+def outputs(t):
+    """A one-row tally's state, values and counts, as plain lists."""
+    state = [int(t.carry[0]), int(t.acc[0]), int(t.running[0])]
+    return state, t.values[0].tolist(), None if t.changes is None else t.changes[0].tolist()
+
+
 class TestCountToMarks:
     @settings(max_examples=100)
     @given(
@@ -81,15 +95,23 @@ class TestCountToMarks:
         m = np.cumsum(steps)
         x = m.size
         marks = np.array(sorted({mk for mk in marks if mk <= x} | {x}))
-        values = np.zeros(marks.size, dtype=np.int64)
-        changes = np.zeros(marks.size, dtype=np.int64)
-        carry, acc = 0, 0
+        t = tally_at(marks, census=True)
         edges = sorted({0, x, *(c for c in cuts if c < x)})
         for a, b in zip(edges, edges[1:]):
-            carry, acc = count_to_marks(m[a:b], a + 1, marks, carry, acc, values, changes)
-        assert values.tolist() == m[marks - 1].tolist()
-        assert changes.tolist() == [naive_count(m[:mk])[0] for mk in marks]
-        assert (acc, carry) == naive_count(m)
+            count_to_marks(t, 0, m[a:b], a + 1)
+        assert t.values[0].tolist() == m[marks - 1].tolist()
+        assert t.changes[0].tolist() == [naive_count(m[:mk])[0] for mk in marks]
+        assert (int(t.acc[0]), int(t.carry[0])) == naive_count(m)
+        assert int(t.running[0]) == m[-1]
+
+    def test_stop_at_first_change_repeats_the_walk_there(self):
+        m = np.array([1, 2, 1, 0, -1, -2, 1], dtype=np.int64)  # changes complete at 5 and 7
+        t = tally_at([2, 4, 6, 7], census=True)
+        count_to_marks(t, 0, m, 1)
+        t.stop_at_first_change(0, m, 1, 0)
+        assert t.values[0].tolist() == [2, 0, -1, -1]
+        assert t.changes[0].tolist() == [0, 0, 1, 1]
+        assert t.stopped.tolist() == [True]
 
 
 class TestWalkSteps:
@@ -126,21 +148,16 @@ class TestWalkSteps:
         marks = {start + i for i in inside if i < n}
         if outside:
             marks |= {start - 3, start + n, start + n + 50}
-        marks = np.array(sorted(marks), dtype=np.int64)
+        marks = sorted(marks)
         m = np.cumsum(steps, dtype=np.int64) + running
 
-        def run(read):
-            values = np.zeros(marks.size, dtype=np.int64)
-            changes = np.zeros(marks.size, dtype=np.int64) if with_census else None
-            got = read(values, changes)
-            return got, values.tolist(), None if changes is None else changes.tolist()
-
-        want = run(lambda v, c: (*count_to_marks(m, start, marks, carry, 5, v, c), int(m[-1])))
-        out = np.empty(n, dtype=np.int32)
+        want = tally_at(marks, with_census, running, carry, 5)
+        count_to_marks(want, 0, m, start)
+        got = tally_at(marks, with_census, running, carry, 5)
         with mock.patch.object(census, "_CHUNK", chunk):
-            got = run(lambda v, c: walk_steps(steps, start, running, marks, carry, 5, v, c, out))
-        assert got == want
-        assert all(isinstance(x, int) for x in got[0])
+            walk_steps(got, 0, steps, start, np.empty(n, dtype=np.int32))
+        assert outputs(got) == outputs(want)
+        assert got.running.dtype == np.int64
 
     @pytest.mark.parametrize("running, carry, runs", [
         (C - 1, 1, [(-1, C), (1, 2 * C)]),  # a change on a chunk's last step
@@ -152,12 +169,11 @@ class TestWalkSteps:
     def test_chunks_at_the_edge_of_zero(self, running, carry, runs):
         steps = np.concatenate([np.full(k, v, dtype=np.int8) for v, k in runs])
         m = np.cumsum(steps, dtype=np.int64) + running
-        marks = np.array([10**6], dtype=np.int64)
-        values = np.zeros(1, dtype=np.int64)
-        changes = np.zeros(1, dtype=np.int64)
-        out = np.empty(steps.size, dtype=np.int32)
-        want = (*count_to_marks(m, 1, marks, carry, 0, values, changes), int(m[-1]))
-        assert walk_steps(steps, 1, running, marks, carry, 0, values, changes, out) == want
+        want = tally_at([10**6], True, running, carry)
+        count_to_marks(want, 0, m, 1)
+        got = tally_at([10**6], True, running, carry)
+        walk_steps(got, 0, steps, 1, np.empty(steps.size, dtype=np.int32))
+        assert outputs(got) == outputs(want)
 
     def test_far_chunks_are_not_scanned(self, monkeypatch):
         scanned = []
@@ -169,16 +185,15 @@ class TestWalkSteps:
         monkeypatch.setattr(census, "count_changes_chunk", spy)
         steps = np.ones(8 * C, dtype=np.int8)
         steps[3 * C :] = -1  # climbs from 2 to 3C + 2, then falls to 2 - 2C
-        marks = np.array([10**6], dtype=np.int64)
-        values = np.zeros(1, dtype=np.int64)
-        changes = np.zeros(1, dtype=np.int64)
         out = np.empty(steps.size, dtype=np.int32)
-        got = walk_steps(steps, 1, 2, marks, 1, 0, values, changes, out)
-        assert got == (-1, 1, 2 - 2 * C)
+        t = tally_at([10**6], True, running=2, carry=1)
+        walk_steps(t, 0, steps, 1, out)
+        assert outputs(t) == ([-1, 1, 2 - 2 * C], [0], [0])
         # only chunks 0, 6 and 7 start at |M| < C
         assert scanned == [3 * C]
         scanned.clear()
         # a value-only piece is summed, never scanned
-        assert walk_steps(steps, 1, 2, marks, 1, 0, values, None, out) == (1, 0, 2 - 2 * C)
+        t = tally_at([10**6], False, running=2, carry=1)
+        walk_steps(t, 0, steps, 1, out)
+        assert outputs(t) == ([1, 0, 2 - 2 * C], [0], None)
         assert scanned == []
-        assert values.tolist() == [0] and changes.tolist() == [0]

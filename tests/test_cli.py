@@ -21,7 +21,7 @@ MANIFEST_KEYS = {"command", "options", "code_version", "wall_time_s", "experimen
 def zero_walk(model, master_seed, x_end, marks, census, first_change, terms, samples):
     """A run's walk after validation, stubbed: every sample stays at M = 0."""
     zeros = np.zeros((len(samples), marks.size), dtype=np.int64)
-    return zeros, zeros.copy() if census else None
+    return models.WalkResult(marks, zeros, zeros.copy() if census else None)
 
 
 def readme_examples():
@@ -215,6 +215,19 @@ class TestLambdaCommand:
 
     def test_loglog_parametrization(self, capsys):
         assert run(["lambda", "--N", "10", "--loglog-x", "100", "--q", "1,1.5"]) == 0
+
+    def test_budget_bounds_the_terms_summed(self, monkeypatch, capsys):
+        # N terms per q value count against the step budget, refused before any is summed
+        monkeypatch.setenv("RMFLAB_BUDGET", "1000")
+        summed = []
+        monkeypatch.setattr("rmflab.cli.lambda_exact", lambda p: summed.append(p.N) or lambda_exact(p))
+        assert run(["lambda", "--N", "1001", "--x", "1e50", "--q", "1"]) == 3
+        assert run(["lambda", "--N", "501", "--x", "1e50", "--q", "1,1.5"]) == 3
+        assert "rmflab: error: resource: lambda sums N * len(q) = 1002" in capsys.readouterr().err
+        assert summed == []
+        assert run(["lambda", "--N", "1000", "--x", "1e50", "--q", "1"]) == 0
+        assert run(["lambda", "--N", "500", "--x", "1e50", "--q", "1,1.5"]) == 0
+        assert summed == [1000, 500, 500]
 
 
 class TestCorrelationsCommand:

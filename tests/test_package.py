@@ -95,3 +95,15 @@ def test_sieve_has_one_output_shape():
     assert not hasattr(rmflab.sieve, "_mobius")
     data = rmflab.sieve.segment_radical_data(90, 200, rmflab.sieve.primes_up_to(14))
     assert [f.name for f in dataclasses.fields(data) if getattr(data, f.name) is None] == []
+
+
+def test_one_census_tally_per_walk():
+    # a walk's marks, carry and count live in census.Tally; walkers pass the tally and a row
+    census = rmflab.census
+    assert list(inspect.signature(census.walk_steps).parameters) == [
+        "tally", "row", "steps", "start", "out"]
+    assert list(inspect.signature(census.count_to_marks).parameters) == [
+        "tally", "row", "m", "start"]
+    naming = [p.name for p in sorted((ROOT / "src" / "rmflab").glob("*.py"))
+              if re.search(r"\b(carry_sign|change_acc)\b", p.read_text(encoding="utf-8"))]
+    assert naming == ["census.py"]
