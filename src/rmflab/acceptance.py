@@ -277,15 +277,12 @@ def crit_mertens_baseline(seed: int, workers: int) -> tuple[bool, str]:
 # high-water mark of the process that started it across fork and exec.
 _PERF_CHILD = r"""
 import json, resource, time
+from rmflab.models import peak_rss_mb
 from rmflab.rmf import SignOracle, rmf_trace
 t0 = time.perf_counter()
 tr = rmf_trace(SignOracle(master_seed={seed}), 10**8, budget=None)
 elapsed = time.perf_counter() - t0
-try:
-    with open("/proc/self/status") as f:
-        rss_mb = next(int(l.split()[1]) for l in f if l.startswith("VmHWM:")) / 1024.0
-except (OSError, StopIteration):
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+rss_mb = peak_rss_mb() or resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps({{"elapsed": elapsed, "rss_mb": rss_mb,
                    "final": tr.final_value, "changes": tr.sign_change_count}}))
 """

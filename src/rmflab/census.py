@@ -12,7 +12,8 @@ stay exact across chunk boundaries.
 
 Every walker (engine, Sidon, martingale, Mertens) reads its walks through
 one :class:`Tally`, fed a row's pieces in order by :func:`count_to_marks`
-(partial sums) or :func:`walk_steps` (+-1/0 steps).
+(partial sums) or :func:`walk_steps` (+-1/0 steps); the tally also says
+when a row stops and holds the +-1/0 partial sums.
 
 Long chunks are scanned blockwise: a block whose min stays above zero (or
 max below) cannot contain a change beyond the single possible flip against
@@ -31,8 +32,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 _BLOCK = 4096
 _CHUNK = 256  # steps per chunk of walk_steps' sparse census
+INT32_CEILING = 1 << 30  # below this position, +-1/0 partial sums fit int32 exactly
 
 
 def _count_dense(values: np.ndarray, carry_sign: int) -> tuple[int, int]:
@@ -99,17 +103,27 @@ class Tally:
     walks only, else None) its sign changes completing in [1, marks[j]].
     Between pieces a row keeps ``running`` (M so far), ``carry`` (the last
     nonzero sign, 0 at first) and ``acc`` (changes so far); ``stopped``
-    marks the rows :meth:`stop_at_first_change` ended.
+    marks the rows :meth:`stop_at_first_change` ended, which only a
+    ``first_change`` tally (census walks only) does; walkers skip them.
     """
 
-    def __init__(self, rows: int, marks: np.ndarray, dtype, census: bool):
+    def __init__(self, rows: int, marks: np.ndarray, dtype, census: bool,
+                 first_change: bool = False):
+        if first_change and not census:
+            raise ParameterError("first_change needs a census run")
         self.marks = marks
+        self.first_change = first_change
         self.values = np.zeros((rows, marks.size), dtype=dtype)
         self.changes = np.zeros((rows, marks.size), dtype=np.int64) if census else None
         self.running = np.zeros(rows, dtype=dtype)
         self.carry = np.zeros(rows, dtype=np.int64)
         self.acc = np.zeros(rows, dtype=np.int64)
         self.stopped = np.zeros(rows, dtype=bool)
+        self.sums = np.empty(0, dtype=np.int32)  # walk_steps' partial sums, reused
+
+    def stops(self, row: int, acc: int, end: int) -> bool:
+        """Whether ``row`` stops in the piece ending before ``end``, with ``acc`` changes there."""
+        return self.first_change and end > self.marks[0] and acc > self.changes[row, 0]
 
     def stop_at_first_change(self, row: int, m: np.ndarray, start: int, carry: int) -> None:
         """End ``row`` at its first change after ``marks[0]``, at u in the piece m.
@@ -133,7 +147,7 @@ def count_to_marks(tally: Tally, row: int, m: np.ndarray, start: int) -> None:
     ``values[row, j] = M(u)`` and, on census walks, ``changes[row, j]``
     counts the changes completing up to u.  The row's ``carry``, ``acc``
     and ``running`` then stand at the piece's end, so a walk fed piece by
-    piece counts exactly as if it were read whole.
+    piece counts exactly as if it were read whole, unless it stops here.
     """
     marks, changes = tally.marks, tally.changes
     carry, acc = int(tally.carry[row]), int(tally.acc[row])
@@ -150,6 +164,8 @@ def count_to_marks(tally: Tally, row: int, m: np.ndarray, start: int) -> None:
     if changes is not None and pos < m.size:
         delta, carry = count_changes_chunk(m[pos:], carry)
         acc += delta
+    if tally.stops(row, acc, end):
+        tally.stop_at_first_change(row, m, start, int(tally.carry[row]))
     tally.carry[row], tally.acc[row], tally.running[row] = carry, acc, m[-1]
 
 
@@ -169,12 +185,12 @@ def change_positions_chunk(
     return out, int(nz[-1])
 
 
-def walk_steps(tally: Tally, row: int, steps: np.ndarray, start: int, out: np.ndarray) -> None:
+def walk_steps(tally: Tally, row: int, steps: np.ndarray, start: int) -> None:
     """Walk the next piece of a row in int8 +-1/0 steps and read it at its marks.
 
     ``steps[i]`` is the step at integer start + i, and the row's
-    ``running`` is M(start - 1).  Marks, counts and the row's state
-    advance as under :func:`count_to_marks` on ``cumsum(steps) + running``.
+    ``running`` is M(start - 1), so |M(u)| <= u.  Marks, counts, state
+    and stop advance as under :func:`count_to_marks` on ``cumsum(steps) + running``.
 
     A piece without a mark needs M only where it can change sign.  On a
     value-only walk (``changes`` None) that is nowhere, so the piece is
@@ -182,14 +198,15 @@ def walk_steps(tally: Tally, row: int, steps: np.ndarray, start: int, out: np.nd
     a chunk starting at |M| >= ``_CHUNK`` keeps the sign of its start,
     which is already the carry, so it is dropped, and the other chunks are
     cumsummed and counted in order as one run.  A piece with a mark, a
-    partial chunk or no chunk to drop is cumsummed whole into ``out``
-    (at least ``steps.size`` long; its dtype holds every |M|).
+    partial chunk, no chunk to drop or its row's stop is cumsummed whole
+    in the tally's buffer, in int32 (faster) below ``INT32_CEILING``.
     """
     n = steps.size
     marks = tally.marks
     running = tally.running[row]
+    end = start + n
     j = int(np.searchsorted(marks, start))
-    if j == marks.size or marks[j] >= start + n:
+    if j == marks.size or marks[j] >= end:
         if tally.changes is None:
             tally.running[row] = running + int(steps.sum())
             return
@@ -201,14 +218,20 @@ def walk_steps(tally: Tally, row: int, steps: np.ndarray, start: int, out: np.nd
             before = ends - sums
             near = np.abs(before) < _CHUNK
             if not near.all():
+                delta, carry = 0, int(tally.carry[row])
                 if near.any():
                     rows = chunks[near].cumsum(axis=1, dtype=np.int16)
                     rows += before[near, None].astype(np.int16)
-                    delta, tally.carry[row] = count_changes_chunk(rows.ravel(), int(tally.carry[row]))
-                    tally.acc[row] += delta
-                tally.running[row] = ends[-1]
-                return
-    m = out[:n]
-    steps.cumsum(dtype=m.dtype, out=m)
-    m += m.dtype.type(running)
+                    delta, carry = count_changes_chunk(rows.ravel(), carry)
+                # a stop needs the piece's partial sums: the piece is not committed
+                acc = tally.acc[row] + delta
+                if not tally.stops(row, acc, end):
+                    tally.carry[row], tally.acc[row], tally.running[row] = carry, acc, ends[-1]
+                    return
+    dtype = np.int32 if end <= INT32_CEILING else np.int64
+    if tally.sums.size < n or tally.sums.dtype != dtype:
+        tally.sums = np.empty(n, dtype=dtype)
+    m = tally.sums[:n]
+    steps.cumsum(dtype=dtype, out=m)
+    m += dtype(running)
     count_to_marks(tally, row, m, start)

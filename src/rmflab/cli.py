@@ -23,9 +23,12 @@ import argparse
 import json
 import math
 import os
+import platform
 import secrets
 import sys
 import time
+
+import numpy as np
 
 from . import __version__, signs
 from .analysis import (
@@ -36,7 +39,7 @@ from .analysis import (
 )
 from .errors import ParameterError, ResourceError, RmflabError
 from .models import (KINDS, MARTINGALE_A, MARTINGALE_B, ModelSpec, mian_chowla,
-                     psi_predictor, sample_path)
+                     peak_rss_mb, psi_predictor, sample_path, usable_cpus)
 from .montecarlo import (
     EstimateWithCI,
     ExperimentPlan,
@@ -297,6 +300,10 @@ def _emit(args, records: list[dict], t0: float) -> None:
         "wall_time_s": time.time() - t0,
         "experiment_seeds": {r["experiment"]: r["seed"] for r in records},
         "zero_policy": "zero-skip",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": usable_cpus(),
+        "peak_rss_mb": peak_rss_mb(),
     }
     manifest_path = args.out + ".manifest.json"
     if args.format == "csv":

@@ -23,18 +23,19 @@ integers.  It provides three calls:
     steps, or (float walks) the float64 magnitudes.  A lane's step is its
     sign times ``scale``.
 
-Each lane is one row of a :class:`census.Tally` and walks each segment in
-pieces of ``PIECE`` integers through buffers allocated once per call.  An
-integer step is decoded from its lane bit into an int8 +-1/0 and the piece
-goes to :func:`census.walk_steps`, which takes partial sums only where the
-piece has a mark or can reach zero.  A float step is the magnitude with the
-lane bit moved into its sign bit, which negates it exactly.  A float piece
-carries the running value into its first step before its ``np.cumsum``,
-so a float walk is the plain sequential sum of its steps.  Outputs are
-therefore reproducible bit-for-bit for any segment or piece length, and
-no cross-sample float reduction happens here.  The engine walks a
-``range`` of samples in the calling process, block by block
-(:func:`block_runs`); :func:`models.collect_walks` cuts it between processes.
+Each lane is one row of a :class:`census.Tally`, which stops it if it
+must, and walks each segment in pieces of ``PIECE`` integers.  An integer
+step is decoded from its lane bit into an int8 +-1/0 and the piece goes to
+:func:`census.walk_steps`, which takes partial sums only where the piece
+has a mark, can reach zero or stops its lane.  A float step is the
+magnitude with the lane bit moved into its sign bit, which negates it
+exactly.  A float piece carries the running value into its first step and
+is cumsummed in place, so a float walk is the plain sequential sum of its
+steps.  Outputs are therefore reproducible bit-for-bit for any segment or
+piece length, and no cross-sample float reduction happens here.  The
+engine walks a ``range`` of samples in the calling process, block by
+block (:func:`block_runs`); :func:`models.collect_walks` cuts it between
+processes.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .signs import check_seed
 DEFAULT_BUDGET = 10**9
 MIN_SEGMENT = 1 << 20
 PIECE = 1 << 14  # steps a lane walks per piece; a first_change lane may stop after each
-INT32_CEILING = 1 << 30  # below this x_end, partial sums fit int32 exactly
 SIGN_BIT = np.uint64(1 << 63)
 
 
@@ -192,28 +192,21 @@ def run_walks(
     concatenate them.
 
     ``first_change=True`` (census runs only) is for callers that only ask
-    whether a sign change follows ``marks[0]``: each lane stops at the end
-    of the piece in which its first sign change after ``marks[0]``
-    completes, and later marks repeat the walk as it stood at that change
-    (:meth:`census.Tally.stop_at_first_change`).  The output is then a
-    function of (source, sample, marks) alone.
+    whether a sign change follows ``marks[0]``: the walk's
+    :class:`census.Tally` stops each lane at its first such change, and the
+    output is still a function of (source, sample, marks) alone.
     """
-    if first_change and not census:
-        raise ParameterError("first_change needs a census run")
     check_seed(source.master_seed)
     x_end, marks, samples = walk_inputs(x_end, marks, sample_indices, budget)
     seg_len = segment_length_for(x_end)
     state = source.begin(x_end)
     float_walk = source.float_walk
-    tally = Tally(len(samples), marks, np.float64 if float_walk else np.int64, census)
-    # |M(u)| <= u, so int32 partial sums are exact below the ceiling and
-    # much faster; the walk still reports int64 values outward.
-    cum_dtype = np.int32 if x_end < INT32_CEILING else np.int64
+    tally = Tally(len(samples), marks, np.float64 if float_walk else np.int64, census,
+                  first_change)
     # buffers reused by every piece: a piece of PIECE steps stays in cache
     # through all of its passes
     piece_len = min(PIECE, seg_len, x_end)
     scratch = np.empty(piece_len, dtype=np.uint64)
-    walk = np.empty(piece_len, dtype=np.float64 if float_walk else cum_dtype)
     step8 = np.empty(piece_len, dtype=np.int8)
 
     one = np.uint64(1)
@@ -239,8 +232,6 @@ def run_walks(
                     b = min(a + piece_len, hi)
                     span = slice(a - lo, b - lo)
                     t = scratch[: b - a]
-                    m = walk[: b - a]
-                    piece_carry, piece_start = int(tally.carry[row]), tally.running[row]
                     if not float_walk:
                         np.right_shift(words[span], lane, out=t)
                         t &= one
@@ -250,7 +241,7 @@ def run_walks(
                         bit += np.int8(1)
                         if scale is not None:
                             bit *= scale[span]
-                        walk_steps(tally, row, bit, a, walk)
+                        walk_steps(tally, row, bit, a)
                     else:
                         # flipping a float's sign bit negates it exactly, so
                         # each step is exactly +-scale; carrying M in through
@@ -258,18 +249,10 @@ def run_walks(
                         np.left_shift(words[span], to_sign_bit, out=t)
                         t &= SIGN_BIT
                         t ^= scale[span]
-                        step = t.view(np.float64)
-                        step[0] += piece_start
-                        step.cumsum(out=m)
+                        m = t.view(np.float64)
+                        m[0] += tally.running[row]
+                        m.cumsum(out=m)
                         count_to_marks(tally, row, m, a)
-                    if first_change and b > marks[0] and tally.acc[row] > tally.changes[row, 0]:
-                        # the first change after marks[0] completes in this
-                        # piece.  walk_steps may have skipped the piece's
-                        # partial sums, so they are taken again here.
-                        if not float_walk:
-                            bit.cumsum(dtype=m.dtype, out=m)
-                            m += m.dtype.type(piece_start)
-                        tally.stop_at_first_change(row, m, a, piece_carry)
                     a = b
         lo = hi
     return WalkResult(marks, tally.values, tally.changes)

@@ -207,10 +207,8 @@ def _sidon_phase(master_seed: int, sample_index: int) -> float:
     return 2.0 * math.pi * signs.uniform01(master_seed, sample_index, SALT_SIDON)
 
 
-def _collect_sidon(terms: np.ndarray, marks: np.ndarray, samples: range, master_seed: int,
-                   census: bool) -> WalkResult:
+def _collect_sidon(tally: Tally, terms: np.ndarray, samples: range, master_seed: int) -> None:
     x_end = terms.size
-    tally = Tally(len(samples), marks, np.float64, census)
     phases = np.array([_sidon_phase(master_seed, s) for s in samples])
     # rows per chunk: keeps the three chunk-sized float temporaries near
     # 1.6 MB, in cache (at 16 MB two workers shared memory bandwidth and
@@ -222,7 +220,6 @@ def _collect_sidon(terms: np.ndarray, marks: np.ndarray, samples: range, master_
         m = np.cumsum(root2 * np.cos(np.outer(phases[i0:i1], terms)), axis=1)
         for row, path in zip(range(i0, i1), m):
             count_to_marks(tally, row, path, 1)
-    return WalkResult(marks, tally.values, tally.changes)
 
 
 def _martingale_piece(r: np.ndarray, m: float, lo: float, hi: float) -> np.ndarray:
@@ -255,9 +252,7 @@ def _martingale_piece(r: np.ndarray, m: float, lo: float, hi: float) -> np.ndarr
     return out
 
 
-def _collect_martingale(x_end: int, marks: np.ndarray, samples: range, master_seed: int,
-                        census: bool) -> WalkResult:
-    tally = Tally(len(samples), marks, np.float64, census)
+def _collect_martingale(tally: Tally, x_end: int, samples: range, master_seed: int) -> None:
     seg_len = segment_length_for(x_end)
     runs = block_runs(samples)
     one = np.uint64(1)
@@ -267,22 +262,40 @@ def _collect_martingale(x_end: int, marks: np.ndarray, samples: range, master_se
             key = signs.block_key(master_seed, run.start >> 6, SALT_MARTINGALE)
             words = signs.keyed_words(mn, key)
             for row, s in enumerate(run, run.start - samples.start):
+                if tally.stopped[row]:
+                    continue
                 r = 1.0 - 2.0 * ((words >> np.uint64(s & 63)) & one).astype(np.float64)
                 m = _martingale_piece(r, tally.running[row], MARTINGALE_A, MARTINGALE_B)
                 count_to_marks(tally, row, m, lo)
-    return WalkResult(marks, tally.values, tally.changes)
 
 
 def _walk_run(model, master_seed, x_end, marks, census, first_change, terms, samples):
     """The walks of one validated sample range, in this process."""
+    if model.kind not in ("sidon_cosine", "bounded_martingale"):
+        sources = {"rmf": RmfWordSource, "iid_rademacher": IidWordSource,
+                   "harmonic_rademacher": HarmonicWordSource}
+        return run_walks(sources[model.kind](master_seed), x_end, marks, samples,
+                         census=census, first_change=first_change)
+    tally = Tally(len(samples), marks, np.float64, census, first_change)
     if model.kind == "sidon_cosine":
-        return _collect_sidon(terms, marks, samples, master_seed, census)
-    if model.kind == "bounded_martingale":
-        return _collect_martingale(x_end, marks, samples, master_seed, census)
-    sources = {"rmf": RmfWordSource, "iid_rademacher": IidWordSource,
-               "harmonic_rademacher": HarmonicWordSource}
-    return run_walks(sources[model.kind](master_seed), x_end, marks, samples,
-                     census=census, first_change=first_change)
+        _collect_sidon(tally, terms, samples, master_seed)
+    else:
+        _collect_martingale(tally, x_end, samples, master_seed)
+    return WalkResult(marks, tally.values, tally.changes)
+
+
+def peak_rss_mb() -> float | None:
+    """This process's peak RSS in MB (``VmHWM``), or None without ``/proc``."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")) / 1024.0
+    except (OSError, StopIteration):
+        return None
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may use: its affinity set where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def collect_walks(
@@ -310,9 +323,8 @@ def collect_walks(
     :class:`census.Tally`, and the runs are concatenated in sample order.
     A sample's row depends only on (model, seed, sample, marks), so the
     output is bit-identical for every worker count.  ``first_change``
-    stops each rmf, iid or harmonic lane at its first sign change after
-    ``marks[0]`` (see :func:`run_walks`); the Sidon and martingale walks
-    walk every lane to ``x_end``.
+    (census runs only) has each model's tally stop a lane at its first
+    sign change after ``marks[0]`` (see :func:`run_walks`).
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
@@ -323,8 +335,7 @@ def collect_walks(
         # built once here: a worker rebuilding mian_chowla(1000) pays ~4 s
         terms = np.asarray(mian_chowla(x_end).elements, dtype=np.float64)
     walk = partial(_walk_run, model, master_seed, x_end, marks, census, first_change, terms)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    runs = block_runs(samples, min(workers, cpus or 1))
+    runs = block_runs(samples, min(workers, usable_cpus()))
     if len(runs) == 1:
         return walk(samples)
     with ProcessPoolExecutor(max_workers=len(runs)) as pool:

@@ -17,8 +17,8 @@ multiplicative walk with every sign set to -1.  It shares the engine's
 request checks (``walk_inputs``), segment length (``segment_length_for``)
 and ``PartialSumTrace``, and is one row of a :class:`census.Tally` fed
 segment by segment to ``census.walk_steps``, as an engine lane is fed
-piece by piece; it has no sign words or lane decode: each mu(n) comes
-straight from :meth:`SegmentData.mobius`.
+piece by piece; it has no sign words, lane decode or partial-sum buffer
+of its own: each mu(n) comes straight from :meth:`SegmentData.mobius`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 
 from .census import Tally, walk_steps
 from .engine import (
-    INT32_CEILING,
     PartialSumTrace,
     WalkResult,
     segment_length_for,
@@ -195,17 +194,15 @@ def mertens_trace(
     mu(n) is read from the segmented radical data, with no sign word or
     lane decode, so the walk cross-checks the multiplicative walk with all
     signs set to -1; the steps go to one :class:`census.Tally` row through
-    :func:`census.walk_steps`, as an engine lane's do.  ``budget`` bounds
-    the x steps as it bounds one sample's walk; the default is unbounded.
+    :func:`census.walk_steps`, which takes their partial sums in the tally,
+    as an engine lane's do.  ``budget`` bounds the x steps as it bounds one
+    sample's walk; the default is unbounded.
     """
     reqs = checkpoints or []
     x, marks, _ = walk_inputs(x, [*reqs, x], range(1), budget)
     primes = primes_up_to(max(2, isqrt(x)))
     seg = segment_length_for(x)
     tally = Tally(1, marks, np.int64, census=True)
-    # |M(u)| <= u: int32 partial sums are exact below the ceiling
-    walk = np.empty(min(seg, x), dtype=np.int32 if x < INT32_CEILING else np.int64)
     for lo in range(1, x + 1, seg):
-        walk_steps(tally, 0, segment_radical_data(lo, min(lo + seg, x + 1), primes).mobius(),
-                   lo, walk)
+        walk_steps(tally, 0, segment_radical_data(lo, min(lo + seg, x + 1), primes).mobius(), lo)
     return PartialSumTrace.of_walk(WalkResult(marks, tally.values, tally.changes), reqs)

@@ -155,7 +155,7 @@ class TestWalkSteps:
         count_to_marks(want, 0, m, start)
         got = tally_at(marks, with_census, running, carry, 5)
         with mock.patch.object(census, "_CHUNK", chunk):
-            walk_steps(got, 0, steps, start, np.empty(n, dtype=np.int32))
+            walk_steps(got, 0, steps, start)
         assert outputs(got) == outputs(want)
         assert got.running.dtype == np.int64
 
@@ -172,7 +172,7 @@ class TestWalkSteps:
         want = tally_at([10**6], True, running, carry)
         count_to_marks(want, 0, m, 1)
         got = tally_at([10**6], True, running, carry)
-        walk_steps(got, 0, steps, 1, np.empty(steps.size, dtype=np.int32))
+        walk_steps(got, 0, steps, 1)
         assert outputs(got) == outputs(want)
 
     def test_far_chunks_are_not_scanned(self, monkeypatch):
@@ -185,15 +185,14 @@ class TestWalkSteps:
         monkeypatch.setattr(census, "count_changes_chunk", spy)
         steps = np.ones(8 * C, dtype=np.int8)
         steps[3 * C :] = -1  # climbs from 2 to 3C + 2, then falls to 2 - 2C
-        out = np.empty(steps.size, dtype=np.int32)
         t = tally_at([10**6], True, running=2, carry=1)
-        walk_steps(t, 0, steps, 1, out)
+        walk_steps(t, 0, steps, 1)
         assert outputs(t) == ([-1, 1, 2 - 2 * C], [0], [0])
         # only chunks 0, 6 and 7 start at |M| < C
         assert scanned == [3 * C]
         scanned.clear()
         # a value-only piece is summed, never scanned
         t = tally_at([10**6], False, running=2, carry=1)
-        walk_steps(t, 0, steps, 1, out)
+        walk_steps(t, 0, steps, 1)
         assert outputs(t) == ([1, 0, 2 - 2 * C], [0], None)
         assert scanned == []

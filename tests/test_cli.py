@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import platform
 import re
 import shlex
 import tracemalloc
@@ -15,7 +16,8 @@ from rmflab.cli import CSV_HEADER, RECORD_FIELDS, run
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-MANIFEST_KEYS = {"command", "options", "code_version", "wall_time_s", "experiment_seeds", "zero_policy"}
+MANIFEST_KEYS = {"command", "options", "code_version", "wall_time_s", "experiment_seeds", "zero_policy",
+                 "python", "numpy", "cpus", "peak_rss_mb"}
 
 
 def zero_walk(model, master_seed, x_end, marks, census, first_change, terms, samples):
@@ -340,6 +342,24 @@ class TestExport:
         manifest = json.load(open(str(out) + ".manifest.json"))
         assert manifest["options"]["seed"] == 3
         assert manifest["zero_policy"] == "zero-skip"
+
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.jsonl"
+        assert run(["moments", "--x", "100", "--q", "2", "--samples", "20", "--seed", "3",
+                    "--out", str(out), "--format", "jsonl"]) == 0
+        manifest = json.load(open(str(out) + ".manifest.json"))
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["cpus"] == models.usable_cpus() >= 1
+        if Path("/proc/self/status").exists():
+            # VmHWM: at least the interpreter and numpy, far below a GB here
+            assert 10.0 < manifest["peak_rss_mb"] < 1024.0
+
+        def no_proc(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(models, "open", no_proc, raising=False)
+        assert models.peak_rss_mb() is None
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["signprob", "--x", "100,200", "--N", "2", "--samples", "40", "--seed", "11"]

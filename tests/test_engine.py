@@ -4,7 +4,7 @@ import pytest
 from rmflab import census, engine
 from rmflab.engine import run_walks
 from rmflab.errors import ParameterError, ResourceError
-from rmflab.models import HarmonicWordSource, IidWordSource, ModelSpec, collect_walks
+from rmflab.models import KINDS, HarmonicWordSource, IidWordSource, ModelSpec, collect_walks
 from rmflab.rmf import RmfWordSource
 from rmflab.sieve import primes_up_to
 
@@ -129,7 +129,7 @@ def test_float_walk_is_the_sequential_sum(monkeypatch, setting, harmonic_oracle_
 def test_int32_and_int64_paths_agree(monkeypatch):
     src = RmfWordSource(master_seed=17)
     a = run_walks(src, 3000, [1500, 3000], range(70))
-    monkeypatch.setattr(engine, "INT32_CEILING", 0)
+    monkeypatch.setattr(census, "INT32_CEILING", 0)  # every piece ends past it: int64 sums
     b = run_walks(src, 3000, [1500, 3000], range(70))
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.changes, b.changes)
@@ -163,11 +163,18 @@ def test_first_change_keeps_window_indicators(monkeypatch, workers):
 
 
 def test_first_change_needs_census():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="first_change needs a census run"):
         run_walks(IidWordSource(master_seed=1), 10, [5], range(1), census=False, first_change=True)
+    # every model's walker refuses it, the Sidon and martingale ones included
+    for kind in KINDS:
+        with pytest.raises(ParameterError, match="first_change needs a census run"):
+            collect_walks(ModelSpec(kind), STOP_END, [100, STOP_END], range(64), 3, census=False,
+                          first_change=True)
 
 
 FIRST_CHANGE_MARKS = [300, 700, 1500, 2200, 3000]
+# x_end 600 keeps mian_chowla short: 0.7 s on 2 cores, against 3.6 s at 1000
+STOP_END, STOP_MARKS = 600, [100, 230, 380, 520, 600]
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +203,8 @@ def test_first_change_output_independent_of_segments_and_workers(monkeypatch, pi
 @pytest.mark.parametrize("on_change", [False, True])
 def test_stopped_lane_reports_walk_at_its_first_change(monkeypatch, piece, on_change,
                                                        dense_rmf_walk):
-    check_stopped_lanes(monkeypatch, piece, on_change, dense_rmf_walk)
+    check_stopped_lanes(monkeypatch, dense_rmf_walk, "rmf", FIRST_CHANGE_MARKS, piece=piece,
+                        segment=777, workers=1, on_change=on_change)
 
 
 @pytest.mark.parametrize("piece", [64, engine.PIECE])
@@ -206,19 +214,46 @@ def test_sparse_stopped_lane_reports_walk_at_its_first_change(monkeypatch, piece
     # chunks of 8 steps: the piece where a lane stops may have been skipped
     # chunk by chunk before its partial sums are taken again
     monkeypatch.setattr(census, "_CHUNK", 8)
-    check_stopped_lanes(monkeypatch, piece, on_change, dense_rmf_walk)
+    check_stopped_lanes(monkeypatch, dense_rmf_walk, "rmf", FIRST_CHANGE_MARKS, piece=piece,
+                        segment=777, workers=1, on_change=on_change)
 
 
-def check_stopped_lanes(monkeypatch, piece, on_change, dense_rmf_walk):
+@pytest.fixture(scope="module")
+def dense_walks():
+    """M(u) and V(u) of 140 walks of every kind at every u <= STOP_END."""
+    return {kind: collect_walks(ModelSpec(kind), STOP_END, range(1, STOP_END + 1), range(140), 29)
+            for kind in KINDS}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("on_change", [False, True])
+@pytest.mark.parametrize("setting", ["piece-64-chunk-8", "workers-2"])
+def test_every_kind_stops_at_its_first_change(monkeypatch, kind, on_change, setting, dense_walks):
+    # segments of 97 integers cut the martingale's walk into pieces too;
+    # pieces and chunks of 8 steps let an engine lane stop in a piece whose
+    # chunks were skipped.  The Sidon walk is always one piece.
+    piece = engine.PIECE
+    if setting == "piece-64-chunk-8":
+        monkeypatch.setattr(census, "_CHUNK", 8)
+        piece = 64
+    check_stopped_lanes(monkeypatch, dense_walks[kind], kind, STOP_MARKS, piece=piece, segment=97,
+                        workers=2 if setting == "workers-2" else 1, on_change=on_change)
+
+
+def check_stopped_lanes(monkeypatch, dense, kind, marks, *, piece, segment, workers, on_change):
+    """A first_change walk of ``kind`` against its ``dense`` walk, read at every u."""
+    # the pool forks after the patches, so workers see them too
     monkeypatch.setattr(engine, "PIECE", piece)
-    monkeypatch.setattr(engine, "MIN_SEGMENT", 777)
-    marks = list(FIRST_CHANGE_MARKS)
+    monkeypatch.setattr(engine, "MIN_SEGMENT", segment)
+    x_end = int(dense.marks[-1])
+    marks = list(marks)
     if on_change:
         # a change completing at marks[0] itself is not one after marks[0]
-        steps = np.diff(dense_rmf_walk.changes[:, marks[0] - 1 :], axis=1)
+        steps = np.diff(dense.changes[:, marks[0] - 1 :], axis=1)
         marks[0] += int(np.flatnonzero(steps.any(axis=0))[0]) + 1
-    fast = run_walks(RmfWordSource(master_seed=29), 3000, marks, range(140), first_change=True)
-    dense_v, dense_c = dense_rmf_walk.values, dense_rmf_walk.changes
+    fast = collect_walks(ModelSpec(kind), x_end, marks, range(140), 29, workers=workers,
+                         first_change=True)
+    dense_v, dense_c = dense.values, dense.changes
     stops = []
     for i in range(140):
         base = dense_c[i, marks[0] - 1]

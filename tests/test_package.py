@@ -101,9 +101,21 @@ def test_one_census_tally_per_walk():
     # a walk's marks, carry and count live in census.Tally; walkers pass the tally and a row
     census = rmflab.census
     assert list(inspect.signature(census.walk_steps).parameters) == [
-        "tally", "row", "steps", "start", "out"]
+        "tally", "row", "steps", "start"]
     assert list(inspect.signature(census.count_to_marks).parameters) == [
         "tally", "row", "m", "start"]
     naming = [p.name for p in sorted((ROOT / "src" / "rmflab").glob("*.py"))
               if re.search(r"\b(carry_sign|change_acc)\b", p.read_text(encoding="utf-8"))]
     assert naming == ["census.py"]
+
+
+def test_the_tally_stops_rows_and_holds_their_sums():
+    # the first-change stop, the partial-sum width and the refusal of a
+    # value-only first_change walk live in census.Tally, and no walker
+    # repeats them (walk_steps' signature is pinned above)
+    texts = {p.name: p.read_text(encoding="utf-8")
+             for p in sorted((ROOT / "src" / "rmflab").glob("*.py"))}
+    refusal = "first_change needs a census run"
+    for pattern in (r"\bINT32_CEILING\b", r"\bstop_at_first_change\b", refusal):
+        assert [n for n, t in texts.items() if re.search(pattern, t)] == ["census.py"], pattern
+    assert refusal in inspect.getsource(rmflab.census.Tally)

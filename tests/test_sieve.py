@@ -209,6 +209,27 @@ class TestMertens:
         assert tr.final_value == m[-1]
         assert sum(scanned) < x  # x when every segment is walked densely
 
+    def test_int32_and_int64_paths_agree(self, monkeypatch):
+        # the tally takes the partial sums in int32 below census.INT32_CEILING
+        # and in int64 past it; 0 sends the whole walk down the int64 path
+        widths = set()
+
+        def spy(values, carry_sign):
+            widths.add(values.dtype)
+            return count(values, carry_sign)
+
+        count = census.count_changes_chunk
+        monkeypatch.setattr(census, "count_changes_chunk", spy)
+        points = [1, 3, 1000, 500_000, 999_999]
+        narrow = mertens_trace(10**6, checkpoints=points)
+        assert np.dtype(np.int32) in widths and np.dtype(np.int64) not in widths
+        widths.clear()
+        monkeypatch.setattr(census, "INT32_CEILING", 0)
+        wide = mertens_trace(10**6, checkpoints=points)
+        assert np.dtype(np.int64) in widths and np.dtype(np.int32) not in widths
+        assert (wide.sign_change_count, wide.final_value) == (1652, 212)
+        assert wide == narrow
+
     def test_census_matches_direct_count(self):
         s = np.sign(mertens_walk(5000))
         nz = s[s != 0]

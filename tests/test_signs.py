@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmflab import signs
+from rmflab.sieve import primes_up_to
 
 from oracle import sign_bit_to_int, sign_word, sign_words_array
 
@@ -96,3 +97,38 @@ def test_uniform01_range(seed, idx):
     # the top 53 bits of the sample's hash, as the Sidon phases have always read
     word = signs.mix64((seed + signs.GOLDEN * idx + signs.SALT_PRIME) & signs.MASK64)
     assert u == (word >> 11) / 2.0**53
+
+
+def prime_signs(seed, premixed):
+    """f(p) in int8 for each premixed prime over the 512 lanes of blocks 0..7."""
+    keys = [signs.block_key(seed, b, signs.SALT_PRIME) for b in range(8)]
+    words = np.stack([signs.keyed_words(premixed, k) for k in keys], axis=1)
+    # bit j of block b's word is lane 64 b + j; a set bit is f(p) = -1
+    s = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little").view(np.int8)
+    s *= -2
+    s += 1
+    return s
+
+
+def test_prime_sign_family_shows_no_structure():
+    # every result rests on the f(p) being independent fair coins across
+    # primes, lanes and seeds; each statistic below is N(0, 1) under that law
+    primes = primes_up_to(10**6).primes
+    premixed = signs.premix(primes.astype(np.uint64))
+    n = primes.size
+    s = prime_signs(987654321, premixed)
+    gram = np.zeros((512, 512))
+    for i in range(0, n, 8192):
+        c = s[i : i + 8192].astype(np.float32)  # exact: every sum stays below 2^24
+        gram += c.T @ c
+    pair_z = gram[np.triu_indices(512, 1)] / np.sqrt(n)
+    assert pair_z.size == 130_816
+    assert abs(pair_z.std() - 1.0) < 0.01
+    assert np.abs(pair_z).max() < 5.5
+    # a normal law puts 0.0027 of its mass beyond |z| = 3
+    assert 0.002 <= np.mean(np.abs(pair_z) > 3) <= 0.0035
+    lane_z = s.sum(axis=0, dtype=np.int64) / np.sqrt(n)
+    neighbour_z = (s[1:] * s[:-1]).sum(axis=0, dtype=np.int64) / np.sqrt(n - 1)
+    seed_z = (s * prime_signs(987654322, premixed)).sum(axis=0, dtype=np.int64) / np.sqrt(n)
+    for z in (lane_z, neighbour_z, seed_z):
+        assert np.abs(z).max() < 4.5
