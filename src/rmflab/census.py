@@ -109,8 +109,7 @@ class Tally:
 
     def __init__(self, rows: int, marks: np.ndarray, dtype, census: bool,
                  first_change: bool = False):
-        if first_change and not census:
-            raise ParameterError("first_change needs a census run")
+        self.check_request(census, first_change)
         self.marks = marks
         self.first_change = first_change
         self.values = np.zeros((rows, marks.size), dtype=dtype)
@@ -120,6 +119,12 @@ class Tally:
         self.acc = np.zeros(rows, dtype=np.int64)
         self.stopped = np.zeros(rows, dtype=bool)
         self.sums = np.empty(0, dtype=np.int32)  # walk_steps' partial sums, reused
+
+    @staticmethod
+    def check_request(census: bool, first_change: bool) -> None:
+        """Refuse a value-only ``first_change`` walk, before a walker builds anything."""
+        if first_change and not census:
+            raise ParameterError("first_change needs a census run")
 
     def stops(self, row: int, acc: int, end: int) -> bool:
         """Whether ``row`` stops in the piece ending before ``end``, with ``acc`` changes there."""

@@ -27,6 +27,7 @@ import platform
 import secrets
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -279,6 +280,33 @@ def _plan(args) -> ExperimentPlan:
     )
 
 
+def _git_commit(package_dir: str) -> str | None:
+    """The commit checked out in the git checkout holding ``package_dir``, read without git.
+
+    ``.git/HEAD`` holds the commit or a ``ref:`` line, which resolves
+    through the loose ref file or ``packed-refs``.  None outside a
+    checkout, for a ``.git`` file (a worktree) and for an unreadable ref.
+    """
+    here = Path(package_dir).resolve()
+    git = next((d / ".git" for d in (here, *here.parents) if (d / ".git").exists()), None)
+    if git is None or not git.is_dir():
+        return None
+    try:
+        head = (git / "HEAD").read_text(encoding="utf-8").strip()
+        if not head.startswith("ref:"):
+            return head or None
+        ref = head[4:].strip()
+        if (git / ref).is_file():
+            return (git / ref).read_text(encoding="utf-8").strip() or None
+        for line in (git / "packed-refs").read_text(encoding="utf-8").splitlines():
+            commit, _, name = line.partition(" ")
+            if name == ref:
+                return commit
+    except OSError:
+        pass
+    return None
+
+
 def _emit(args, records: list[dict], t0: float) -> None:
     """Print the records; with ``--out``, also write them and ``PATH.manifest.json``.
 
@@ -304,6 +332,7 @@ def _emit(args, records: list[dict], t0: float) -> None:
         "numpy": np.__version__,
         "cpus": usable_cpus(),
         "peak_rss_mb": peak_rss_mb(),
+        "git_commit": _git_commit(os.path.dirname(__file__)),
     }
     manifest_path = args.out + ".manifest.json"
     if args.format == "csv":

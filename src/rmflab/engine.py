@@ -24,18 +24,21 @@ integers.  It provides three calls:
     sign times ``scale``.
 
 Each lane is one row of a :class:`census.Tally`, which stops it if it
-must, and walks each segment in pieces of ``PIECE`` integers.  An integer
-step is decoded from its lane bit into an int8 +-1/0 and the piece goes to
-:func:`census.walk_steps`, which takes partial sums only where the piece
-has a mark, can reach zero or stops its lane.  A float step is the
-magnitude with the lane bit moved into its sign bit, which negates it
-exactly.  A float piece carries the running value into its first step and
-is cumsummed in place, so a float walk is the plain sequential sum of its
-steps.  Outputs are therefore reproducible bit-for-bit for any segment or
-piece length, and no cross-sample float reduction happens here.  The
-engine walks a ``range`` of samples in the calling process, block by
-block (:func:`block_runs`); :func:`models.collect_walks` cuts it between
-processes.
+must, and walks each segment in pieces of ``PIECE`` integers.  A
+``first_change`` walk, whose lanes stop at their first change after the
+first mark, grades its pieces instead: the piece at integer a is
+``min(PIECE, max(FIRST_PIECE, a - 1))`` integers long, so a lane whose
+change comes early stops early.  An integer step is decoded from its lane
+bit into an int8 +-1/0 and the piece goes to :func:`census.walk_steps`,
+which takes partial sums only where the piece has a mark, can reach zero
+or stops its lane.  A float step is the magnitude with the lane bit moved
+into its sign bit, which negates it exactly.  A float piece carries the
+running value into its first step and is cumsummed in place, so a float
+walk is the plain sequential sum of its steps.  Outputs are therefore
+reproducible bit-for-bit for any segment or piece length, and no
+cross-sample float reduction happens here.  The engine walks a ``range``
+of samples in the calling process, block by block (:func:`block_runs`);
+:func:`models.collect_walks` cuts it between processes.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .signs import check_seed
 DEFAULT_BUDGET = 10**9
 MIN_SEGMENT = 1 << 20
 PIECE = 1 << 14  # steps a lane walks per piece; a first_change lane may stop after each
+FIRST_PIECE = 1 << 10  # a first_change walk's shortest piece; its pieces grade up to PIECE
 SIGN_BIT = np.uint64(1 << 63)
 
 
@@ -193,8 +197,14 @@ def run_walks(
 
     ``first_change=True`` (census runs only) is for callers that only ask
     whether a sign change follows ``marks[0]``: the walk's
-    :class:`census.Tally` stops each lane at its first such change, and the
-    output is still a function of (source, sample, marks) alone.
+    :class:`census.Tally` stops each lane at the end of the piece where
+    its first such change completes, and the output is still a function
+    of (source, sample, marks) alone.  Its pieces grade up with the
+    position: the piece at integer a is ``min(PIECE, max(FIRST_PIECE,
+    a - 1))`` integers long (1024, 1024, 2048, ... up to ``PIECE``, each
+    ending at a power of two until a segment cuts it), so a lane whose
+    change completes at u walks to about 2u, not to the end of a
+    ``PIECE``-long piece.
     """
     check_seed(source.master_seed)
     x_end, marks, samples = walk_inputs(x_end, marks, sample_indices, budget)
@@ -206,6 +216,7 @@ def run_walks(
     # buffers reused by every piece: a piece of PIECE steps stays in cache
     # through all of its passes
     piece_len = min(PIECE, seg_len, x_end)
+    grade = FIRST_PIECE if first_change else piece_len
     scratch = np.empty(piece_len, dtype=np.uint64)
     step8 = np.empty(piece_len, dtype=np.int8)
 
@@ -229,7 +240,7 @@ def run_walks(
                 to_sign_bit = np.uint64(63) - lane
                 a = lo
                 while a < hi and not tally.stopped[row]:
-                    b = min(a + piece_len, hi)
+                    b = min(a + min(piece_len, max(grade, a - 1)), hi)
                     span = slice(a - lo, b - lo)
                     t = scratch[: b - a]
                     if not float_walk:

@@ -330,6 +330,7 @@ def collect_walks(
         raise ParameterError(f"workers must be >= 1, got {workers}")
     signs.check_seed(master_seed)
     x_end, marks, samples = walk_inputs(x_end, marks, sample_indices, budget)
+    Tally.check_request(census, first_change)
     terms = None
     if model.kind == "sidon_cosine":
         # built once here: a worker rebuilding mian_chowla(1000) pays ~4 s

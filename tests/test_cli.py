@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmflab import models, sieve
+from rmflab import cli, models, sieve
 from rmflab.analysis import LambdaParams, lambda_asymptotic, lambda_exact
 from rmflab.cli import CSV_HEADER, RECORD_FIELDS, run
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MANIFEST_KEYS = {"command", "options", "code_version", "wall_time_s", "experiment_seeds", "zero_policy",
-                 "python", "numpy", "cpus", "peak_rss_mb"}
+                 "python", "numpy", "cpus", "peak_rss_mb", "git_commit"}
 
 
 def zero_walk(model, master_seed, x_end, marks, census, first_change, terms, samples):
@@ -360,6 +360,33 @@ class TestExport:
 
         monkeypatch.setattr(models, "open", no_proc, raising=False)
         assert models.peak_rss_mb() is None
+        # the checkout holding the package, or null outside one
+        commit = manifest["git_commit"]
+        assert commit == cli._git_commit(Path(cli.__file__).parent)
+        assert commit is None or re.fullmatch(r"[0-9a-f]{40}", commit)
+
+    def test_git_commit_is_read_from_the_checkout(self, tmp_path):
+        package = tmp_path / "src" / "rmflab"
+        package.mkdir(parents=True)
+        assert cli._git_commit(package) is None  # no checkout at all
+        git = tmp_path / ".git"
+        git.mkdir()
+        detached, loose, packed = "1" * 40, "2" * 40, "3" * 40
+        (git / "HEAD").write_text(detached + "\n")
+        assert cli._git_commit(package) == detached
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        assert cli._git_commit(package) is None  # a ref that does not resolve
+        (git / "packed-refs").write_text(f"# pack-refs with: peeled fully-peeled sorted\n"
+                                         f"{'4' * 40} refs/heads/dev\n{packed} refs/heads/main\n"
+                                         f"^{'5' * 40}\n")
+        assert cli._git_commit(package) == packed
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "refs" / "heads" / "main").write_text(loose + "\n")
+        assert cli._git_commit(package) == loose  # the loose ref wins over packed-refs
+        git_file = tmp_path / "worktree" / ".git"
+        git_file.parent.mkdir()
+        git_file.write_text(f"gitdir: {git}\n")
+        assert cli._git_commit(git_file.parent) is None
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["signprob", "--x", "100,200", "--N", "2", "--samples", "40", "--seed", "11"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmflab import census, engine
+from rmflab import census, engine, models
 from rmflab.engine import run_walks
 from rmflab.errors import ParameterError, ResourceError
 from rmflab.models import KINDS, HarmonicWordSource, IidWordSource, ModelSpec, collect_walks
@@ -162,10 +162,15 @@ def test_first_change_keeps_window_indicators(monkeypatch, workers):
     assert np.array_equal(fast.values[quiet], full.values[quiet])
 
 
-def test_first_change_needs_census():
+def test_first_change_needs_census(monkeypatch):
     with pytest.raises(ParameterError, match="first_change needs a census run"):
         run_walks(IidWordSource(master_seed=1), 10, [5], range(1), census=False, first_change=True)
-    # every model's walker refuses it, the Sidon and martingale ones included
+
+    def no_build(n):
+        raise AssertionError(f"mian_chowla({n}) built for a refused walk")
+
+    # every model refuses it, the Sidon walk before it builds its terms
+    monkeypatch.setattr(models, "mian_chowla", no_build)
     for kind in KINDS:
         with pytest.raises(ParameterError, match="first_change needs a census run"):
             collect_walks(ModelSpec(kind), STOP_END, [100, STOP_END], range(64), 3, census=False,
@@ -183,39 +188,76 @@ def dense_rmf_walk():
     return run_walks(RmfWordSource(master_seed=29), 3000, range(1, 3001), range(140))
 
 
-@pytest.mark.parametrize("piece", [64, engine.PIECE])
-def test_first_change_output_independent_of_segments_and_workers(monkeypatch, piece):
+# (PIECE, FIRST_PIECE): ungraded pieces of 64; pieces grading 8, 8, 16, 32,
+# 64; the module's own, which grade 1024, 1024, 2048 on a 3000-integer segment
+PIECES = [pytest.param(64, 64, id="64"), pytest.param(64, 8, id="64-graded"),
+          pytest.param(engine.PIECE, engine.FIRST_PIECE, id=str(engine.PIECE))]
+
+
+@pytest.mark.parametrize("piece, first_piece", PIECES)
+def test_first_change_output_independent_of_segments_and_workers(monkeypatch, piece,
+                                                                  first_piece):
     monkeypatch.setattr(engine, "PIECE", piece)
     rmf = ModelSpec("rmf")
-    runs = []
-    for seg in (500, 777, 9000):
-        # the pool forks after the patch, so workers see the segment length too
+
+    def walk(seg, workers, first):
+        # the pool forks after the patches, so workers see them too
         monkeypatch.setattr(engine, "MIN_SEGMENT", seg)
+        monkeypatch.setattr(engine, "FIRST_PIECE", first)
+        return collect_walks(rmf, 3000, FIRST_CHANGE_MARKS, range(140), 29, workers=workers,
+                             first_change=True)
+
+    ungraded = walk(500, 1, piece)
+    for seg in (500, 777, 9000):
         for workers in (1, 2):
-            runs.append(collect_walks(rmf, 3000, FIRST_CHANGE_MARKS, range(140), 29,
-                                      workers=workers, first_change=True))
-    for res in runs[1:]:
-        assert np.array_equal(res.values, runs[0].values)
-        assert np.array_equal(res.changes, runs[0].changes)
+            res = walk(seg, workers, first_piece)
+            assert np.array_equal(res.values, ungraded.values)
+            assert np.array_equal(res.changes, ungraded.changes)
 
 
-@pytest.mark.parametrize("piece", [64, engine.PIECE])
+def test_only_first_change_walks_grade_their_pieces(monkeypatch):
+    monkeypatch.setattr(engine, "PIECE", 64)
+    monkeypatch.setattr(engine, "FIRST_PIECE", 8)
+    monkeypatch.setattr(engine, "MIN_SEGMENT", 777)
+    pieces = []
+
+    def spy(tally, row, steps, start):
+        if row == 0:
+            pieces.append((start, steps.size))
+        walk(tally, row, steps, start)
+
+    walk = engine.walk_steps
+    monkeypatch.setattr(engine, "walk_steps", spy)
+    src = RmfWordSource(master_seed=29)
+    # without first_change every piece is PIECE long, bar each segment's last
+    run_walks(src, 3000, FIRST_CHANGE_MARKS, range(1))
+    segment_ends = [778, 1555, 2332, 3001]
+    assert [start + size for start, size in pieces if size != 64] == segment_ends
+    assert sum(size for _, size in pieces) == 3000
+    # with it the pieces grade up from FIRST_PIECE at integer 1
+    pieces.clear()
+    run_walks(src, 3000, [3000], range(1), first_change=True)
+    assert pieces[:6] == [(1, 8), (9, 8), (17, 16), (33, 32), (65, 64), (129, 64)]
+    assert sum(size for _, size in pieces) == 3000
+
+
+@pytest.mark.parametrize("piece, first_piece", PIECES)
 @pytest.mark.parametrize("on_change", [False, True])
-def test_stopped_lane_reports_walk_at_its_first_change(monkeypatch, piece, on_change,
-                                                       dense_rmf_walk):
+def test_stopped_lane_reports_walk_at_its_first_change(monkeypatch, piece, first_piece,
+                                                       on_change, dense_rmf_walk):
     check_stopped_lanes(monkeypatch, dense_rmf_walk, "rmf", FIRST_CHANGE_MARKS, piece=piece,
-                        segment=777, workers=1, on_change=on_change)
+                        first_piece=first_piece, segment=777, workers=1, on_change=on_change)
 
 
-@pytest.mark.parametrize("piece", [64, engine.PIECE])
+@pytest.mark.parametrize("piece, first_piece", PIECES)
 @pytest.mark.parametrize("on_change", [False, True])
-def test_sparse_stopped_lane_reports_walk_at_its_first_change(monkeypatch, piece, on_change,
-                                                              dense_rmf_walk):
+def test_sparse_stopped_lane_reports_walk_at_its_first_change(monkeypatch, piece, first_piece,
+                                                              on_change, dense_rmf_walk):
     # chunks of 8 steps: the piece where a lane stops may have been skipped
     # chunk by chunk before its partial sums are taken again
     monkeypatch.setattr(census, "_CHUNK", 8)
     check_stopped_lanes(monkeypatch, dense_rmf_walk, "rmf", FIRST_CHANGE_MARKS, piece=piece,
-                        segment=777, workers=1, on_change=on_change)
+                        first_piece=first_piece, segment=777, workers=1, on_change=on_change)
 
 
 @pytest.fixture(scope="module")
@@ -227,23 +269,29 @@ def dense_walks():
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("on_change", [False, True])
-@pytest.mark.parametrize("setting", ["piece-64-chunk-8", "workers-2"])
+@pytest.mark.parametrize("setting", ["piece-64-chunk-8", "graded-64-chunk-8-workers-2",
+                                     "workers-2"])
 def test_every_kind_stops_at_its_first_change(monkeypatch, kind, on_change, setting, dense_walks):
     # segments of 97 integers cut the martingale's walk into pieces too;
     # pieces and chunks of 8 steps let an engine lane stop in a piece whose
-    # chunks were skipped.  The Sidon walk is always one piece.
-    piece = engine.PIECE
-    if setting == "piece-64-chunk-8":
+    # chunks were skipped, and graded pieces (8, 8, 16, 32, 64) stop it in
+    # a short one.  The Sidon walk is always one piece.
+    piece, first_piece = engine.PIECE, engine.FIRST_PIECE
+    if setting != "workers-2":
         monkeypatch.setattr(census, "_CHUNK", 8)
         piece = 64
-    check_stopped_lanes(monkeypatch, dense_walks[kind], kind, STOP_MARKS, piece=piece, segment=97,
-                        workers=2 if setting == "workers-2" else 1, on_change=on_change)
+        first_piece = 8 if setting.startswith("graded") else piece
+    check_stopped_lanes(monkeypatch, dense_walks[kind], kind, STOP_MARKS, piece=piece,
+                        first_piece=first_piece, segment=97,
+                        workers=2 if setting.endswith("workers-2") else 1, on_change=on_change)
 
 
-def check_stopped_lanes(monkeypatch, dense, kind, marks, *, piece, segment, workers, on_change):
+def check_stopped_lanes(monkeypatch, dense, kind, marks, *, piece, first_piece, segment, workers,
+                        on_change):
     """A first_change walk of ``kind`` against its ``dense`` walk, read at every u."""
     # the pool forks after the patches, so workers see them too
     monkeypatch.setattr(engine, "PIECE", piece)
+    monkeypatch.setattr(engine, "FIRST_PIECE", first_piece)
     monkeypatch.setattr(engine, "MIN_SEGMENT", segment)
     x_end = int(dense.marks[-1])
     marks = list(marks)
