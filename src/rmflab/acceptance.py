@@ -282,8 +282,9 @@ from rmflab.rmf import SignOracle, rmf_trace
 t0 = time.perf_counter()
 tr = rmf_trace(SignOracle(master_seed={seed}), 10**8, budget=None)
 elapsed = time.perf_counter() - t0
-rss_mb = peak_rss_mb() or resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({{"elapsed": elapsed, "rss_mb": rss_mb,
+usage = resource.getrusage(resource.RUSAGE_SELF)
+rss_mb = peak_rss_mb() or usage.ru_maxrss / 1024.0
+print(json.dumps({{"elapsed": elapsed, "rss_mb": rss_mb, "minflt": usage.ru_minflt,
                    "final": tr.final_value, "changes": tr.sign_change_count}}))
 """
 
@@ -313,6 +314,7 @@ def crit_performance(seed: int, workers: int) -> tuple[bool, str]:
     ok = not reasons
     detail = (
         f"x=1e8 trace: {info['elapsed']:.1f}s, rss {info['rss_mb']:.0f}MB, "
+        f"{info['minflt']} minor faults, "
         f"M={info['final']}, V={info['changes']}; workers 1 vs 2 identical"
     )
     return ok, detail if ok else detail + "; " + "; ".join(reasons)

@@ -11,17 +11,19 @@ A *source* adapts a concrete model to the engine.  Its ``float_walk``
 class attribute says whether its steps are float magnitudes or +-1/0
 integers.  It provides three calls:
 
-``begin(x_end) -> state``
-    what every segment of a walk to ``x_end`` shares (prime tables,
-    premixed prime hashes), or None;
+``begin(x_end, samples) -> state``
+    what every segment of a walk of the sample ``range`` to ``x_end``
+    shares (prime tables, premixed prime hashes, reused buffers), or None;
 ``segment(state, lo, hi) -> ctx``
     shared data for the integers [lo, hi) (factorizations, premixed
-    hashes, magnitudes);
+    hashes, magnitudes), valid until the next ``segment`` call;
 ``block_words(ctx, block) -> (words, scale)``
     uint64 sign-parity words for one 64-sample block, and the scale of
     each step: None when every step is +-1, a bool mask of the nonzero
     steps, or (float walks) the float64 magnitudes.  A lane's step is its
-    sign times ``scale``.
+    sign times ``scale``.  A source that began a one-sample walk may
+    return int8 words instead: they are that lane's +-1/0 steps already,
+    with scale None, and go to :func:`census.walk_steps` as they are.
 
 Each lane is one row of a :class:`census.Tally`, which stops it if it
 must, and walks each segment in pieces of ``PIECE`` integers.  A
@@ -29,7 +31,8 @@ must, and walks each segment in pieces of ``PIECE`` integers.  A
 first mark, grades its pieces instead: the piece at integer a is
 ``min(PIECE, max(FIRST_PIECE, a - 1))`` integers long, so a lane whose
 change comes early stops early.  An integer step is decoded from its lane
-bit into an int8 +-1/0 and the piece goes to :func:`census.walk_steps`,
+bit into an int8 +-1/0 (unless the words are int8 steps already) and
+the piece goes to :func:`census.walk_steps`,
 which takes partial sums only where the piece has a mark, can reach zero
 or stops its lane.  A float step is the magnitude with the lane bit moved
 into its sign bit, which negates it exactly.  A float piece carries the
@@ -209,7 +212,7 @@ def run_walks(
     check_seed(source.master_seed)
     x_end, marks, samples = walk_inputs(x_end, marks, sample_indices, budget)
     seg_len = segment_length_for(x_end)
-    state = source.begin(x_end)
+    state = source.begin(x_end, samples)
     float_walk = source.float_walk
     tally = Tally(len(samples), marks, np.float64 if float_walk else np.int64, census,
                   first_change)
@@ -244,14 +247,17 @@ def run_walks(
                     span = slice(a - lo, b - lo)
                     t = scratch[: b - a]
                     if not float_walk:
-                        np.right_shift(words[span], lane, out=t)
-                        t &= one
-                        bit = step8[: b - a]
-                        bit[:] = t
-                        np.multiply(bit, np.int8(-2), out=bit)
-                        bit += np.int8(1)
-                        if scale is not None:
-                            bit *= scale[span]
+                        if words.dtype == np.int8:  # the lane's steps already
+                            bit = words[span]
+                        else:
+                            np.right_shift(words[span], lane, out=t)
+                            t &= one
+                            bit = step8[: b - a]
+                            bit[:] = t
+                            np.multiply(bit, np.int8(-2), out=bit)
+                            bit += np.int8(1)
+                            if scale is not None:
+                                bit *= scale[span]
                         walk_steps(tally, row, bit, a)
                     else:
                         # flipping a float's sign bit negates it exactly, so

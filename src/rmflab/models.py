@@ -177,7 +177,7 @@ class IidWordSource:
     master_seed: int
     float_walk = False
 
-    def begin(self, x_end: int):
+    def begin(self, x_end: int, samples: range):
         return None
 
     def segment(self, state, lo: int, hi: int):

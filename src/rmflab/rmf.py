@@ -45,9 +45,21 @@ class SignOracle:
 
 @dataclass(frozen=True)
 class RmfWordSource:
-    """Engine source streaming sign-parity words of f: n's word XORs its prime
-    factors' words (the big one from :meth:`sieve.SegmentData.big_primes`; no
-    parity is read), keyed hashes, or all ones (f(p) = -1) under hook "minus"."""
+    """Engine source of f: 64-lane sign-parity words, or one lane's steps.
+
+    A walk of several samples streams words: n's word XORs its prime
+    factors' words (the small ones by :func:`sieve.fold_small_primes`, the
+    big one from :meth:`sieve.SegmentData.big_primes`; no parity is read),
+    keyed hashes, or all ones (f(p) = -1) under hook "minus".  A walk of
+    one sample streams that lane's int8 steps instead: ``begin`` reads the
+    lane's f(p) on the small primes, the sieve folds f(p) * p, so the sign
+    of the product is f of n's small part, and only each n's big prime is
+    hashed (:meth:`sieve.SegmentData.f_values`).  Both give the same steps,
+    since lane l's bit of a XOR of words is the parity of the -1 signs
+    among them.  The one-sample sieve refills buffers held in the
+    ``begin`` state, so a segment's context is valid until the next
+    ``segment`` call on the same state.
+    """
 
     master_seed: int
     hook: str = "hash"
@@ -56,28 +68,53 @@ class RmfWordSource:
     def __post_init__(self):
         _check_hook(self.hook)
 
-    def begin(self, x_end: int):
+    def begin(self, x_end: int, samples: range):
         primes = primes_up_to(max(2, isqrt(x_end)))
-        return {"primes": primes, "pm": signs.premix(primes.primes)}
+        pm = signs.premix(primes.primes)
+        if len(samples) > 1:
+            return {"primes": primes, "pm": pm}
+        s = samples.start
+        key = signs.block_key(self.master_seed, s >> 6, signs.SALT_PRIME)
+        bit = np.uint64(1 << (s & 63))
+        prime_signs = np.where(self._lane_minus(pm, key, bit), np.int8(-1), np.int8(1))
+        return {"primes": primes, "key": key, "bit": bit, "prime_signs": prime_signs,
+                "buffers": {}}
 
     def segment(self, state, lo: int, hi: int):
+        if "bit" in state:
+            data = segment_radical_data(lo, hi, state["primes"], state["prime_signs"],
+                                        state["buffers"])
+            big, big_prime = data.big_primes()
+            minus = self._lane_minus(signs.premix(big_prime), state["key"], state["bit"])
+            return {"squarefree": data.squarefree, "steps": data.f_values(big, minus)}
         data = segment_radical_data(lo, hi, state["primes"])
         big, big_prime = data.big_primes()
         return {"lo": lo, "hi": hi, "small": data.small, "squarefree": data.squarefree,
                 "big": big, "pm": state["pm"][: data.small.size], "mc": signs.premix(big_prime)}
 
     def block_words(self, ctx, block: int):
-        """Sign-parity words of one block, exact on squarefree n; the scale is that mask."""
+        """Sign-parity words of one block, exact on squarefree n, with that
+        mask as the scale; on a one-sample walk, its int8 steps, unscaled."""
+        if "steps" in ctx:
+            return ctx["steps"], None
         key = signs.block_key(self.master_seed, block, signs.SALT_PRIME)
         hsmall = self._prime_words(ctx["pm"], key)
         words = fold_small_primes(np.bitwise_xor, hsmall, ctx["small"], ctx["lo"], ctx["hi"])
         words[ctx["big"]] ^= self._prime_words(ctx["mc"], key)
         return words, ctx["squarefree"]
 
-    def _prime_words(self, premixed: np.ndarray, key: int) -> np.ndarray:
+    def _prime_words(self, premixed: np.ndarray, key: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
         if self.hook == "minus":
             return np.full(premixed.size, signs.MASK64, dtype=np.uint64)
-        return signs.keyed_words(premixed, key)
+        return signs.keyed_words(premixed, key, out)
+
+    def _lane_minus(self, premixed: np.ndarray, key: int, bit: np.uint64) -> np.ndarray:
+        """Whether f(p) = -1 in the lane of ``bit``, for each premixed prime
+        (whose array may be overwritten)."""
+        words = self._prime_words(premixed, key, out=premixed)
+        words &= bit
+        return words != 0
 
 
 def rmf_trace(
@@ -90,8 +127,8 @@ def rmf_trace(
 ) -> PartialSumTrace:
     """Stream M(u) for u <= x: census of sign changes plus checkpoint values.
 
-    One sample is one block, walked in this process; ``workers`` is
-    accepted and unused.
+    The sample is walked in this process, on the one-lane path of
+    :class:`RmfWordSource`; ``workers`` is accepted and unused.
     """
     reqs = checkpoints or []
     source = RmfWordSource(master_seed=oracle.master_seed, hook=oracle.hook)

@@ -93,14 +93,15 @@ def premix(values: np.ndarray) -> np.ndarray:
     return mix64_array(np.multiply(values, np.uint64(GOLDEN), dtype=np.uint64, casting="unsafe"))
 
 
-def keyed_words(premixed: np.ndarray, key: int) -> np.ndarray:
+def keyed_words(premixed: np.ndarray, key: int, out: np.ndarray | None = None) -> np.ndarray:
     """64 lane sign bits for each premixed value under a block key.
 
     ``keyed_words(premix(v), key)`` is mix64(mix64(v * GOLDEN) ^ key).  Bit
     j of a word is the sign bit of sample ``64*block + j``: 0 encodes +1, 1
-    encodes -1.
+    encodes -1.  The words are written into ``out`` when given (which may
+    be ``premixed`` itself), else into a fresh array.
     """
-    return mix64_array(premixed ^ np.uint64(key))
+    return mix64_array(np.bitwise_xor(premixed, np.uint64(key), out=out))
 
 
 def uniform01(master_seed: int, sample_index: int, salt: int) -> float:

@@ -45,7 +45,7 @@ def test_nonpositive_workers_rejected(workers):
 def test_block_words_scale(lo, hi):
     # each step is its lane's sign times the scale block_words returns
     rmf = RmfWordSource(master_seed=5)
-    _, scale = rmf.block_words(rmf.segment(rmf.begin(hi - 1), lo, hi), 2)
+    _, scale = rmf.block_words(rmf.segment(rmf.begin(hi - 1, range(192)), lo, hi), 2)
     sqf = radical_reference(lo, hi, primes_up_to(1000))[0]
     assert not rmf.float_walk and scale.dtype == bool and np.array_equal(scale, sqf)
     iid, harmonic = IidWordSource(master_seed=5), HarmonicWordSource(master_seed=5)

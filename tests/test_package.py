@@ -89,11 +89,15 @@ def test_model_spec_is_its_kind():
 
 
 def test_sieve_has_one_output_shape():
-    # mu and the big-prime split are two views of one SegmentData
+    # f(n) (mu by default) and the big-prime split are two views of one
+    # SegmentData; only the optional buffers may be left out
     params = inspect.signature(rmflab.sieve.segment_radical_data).parameters
-    assert list(params) == ["lo", "hi", "primes"]
+    assert list(params) == ["lo", "hi", "primes", "prime_signs", "buffers"]
     assert not hasattr(rmflab.sieve, "_mobius")
     data = rmflab.sieve.segment_radical_data(90, 200, rmflab.sieve.primes_up_to(14))
+    assert [f.name for f in dataclasses.fields(data) if getattr(data, f.name) is None] == [
+        "buffers"]
+    data = rmflab.sieve.segment_radical_data(90, 200, rmflab.sieve.primes_up_to(14), buffers={})
     assert [f.name for f in dataclasses.fields(data) if getattr(data, f.name) is None] == []
 
 

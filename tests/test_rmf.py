@@ -104,7 +104,7 @@ def test_block_words_match_oracle_on_squarefrees(group):
     seed = 2024
     source = RmfWordSource(master_seed=seed)
     for lo, hi in EDGE_SEGMENTS[group]:
-        ctx = source.segment(source.begin(hi - 1), lo, hi)
+        ctx = source.segment(source.begin(hi - 1, range(256)), lo, hi)
         primes = primes_up_to(max(2, math.isqrt(hi - 1)))
         for block in (0, 3):
             words, active = source.block_words(ctx, block)
@@ -113,11 +113,60 @@ def test_block_words_match_oracle_on_squarefrees(group):
             assert np.array_equal(words[active], want[active]), (lo, hi, block)
 
 
+LANE_SAMPLES = (0, 5, 63, 64, 1000)
+
+
+@pytest.mark.parametrize("walk", ["census", "values", "first_change"])
+@pytest.mark.parametrize("hook", ["hash", "minus"])
+@pytest.mark.parametrize("seed", [2024, 987654321])
+def test_lane_path_equals_word_path(seed, hook, walk, monkeypatch):
+    # a one-sample walk sieves its lane's signs into int8 steps, a block
+    # walks 64-lane XOR words: each sample alone must equal its block row
+    # bit for bit; 5000 in segments of 256 leaves a last one of 136
+    monkeypatch.setattr(engine, "MIN_SEGMENT", 256)
+    x, marks = 5000, [1, 100, 777, 4096, 5000]
+    census = walk != "values"
+    source = RmfWordSource(seed, hook)
+    for s in LANE_SAMPLES:
+        lane = source.segment(source.begin(x, range(s, s + 1)), 1, 257)
+        assert source.block_words(lane, s >> 6)[0].dtype == np.int8
+        block = range(s - s % 64, s - s % 64 + 64)
+        many = run_walks(source, x, marks, block, census=census,
+                         first_change=walk == "first_change")
+        one = run_walks(source, x, marks, range(s, s + 1), census=census,
+                        first_change=walk == "first_change")
+        row = slice(s % 64, s % 64 + 1)
+        assert np.array_equal(one.values, many.values[row]), (s, walk)
+        assert one.values.dtype == many.values.dtype == np.int64
+        if census:
+            assert np.array_equal(one.changes, many.changes[row]), (s, walk)
+
+
+@pytest.mark.parametrize("first_change", [False, True])
+def test_collect_walks_one_sample_run_matches_one_process(first_change, monkeypatch):
+    # at 2 workers the run [64, 65) holds one sample, which takes the lane
+    # path; at 1 worker all 65 samples take the word path
+    monkeypatch.setattr(models, "usable_cpus", lambda: 2)
+    marks = [10, 500, 3000]
+    one, two = (collect_walks(ModelSpec("rmf"), 3000, marks, range(65), 77,
+                              workers=w, first_change=first_change) for w in (1, 2))
+    assert np.array_equal(one.values, two.values)
+    assert np.array_equal(one.changes, two.changes)
+
+
 class TestTrace:
-    def test_all_plus_counts_squarefree(self):
+    def test_all_plus_counts_squarefree(self, monkeypatch):
         tr = PartialSumTrace.of_walk(run_walks(AllPlusWordSource(1), 10, [10], range(1)), [])
         assert tr.final_value == squarefree_count(10) == 7
         assert tr.sign_change_count == 0
+        # a one-sample walk of the all-plus source keeps its words: M(u) = Q(u)
+        # over 20 segments, the last of 136
+        monkeypatch.setattr(engine, "MIN_SEGMENT", 256)
+        marks = [1, 300, 4999, 5000]
+        for s in (0, 1000):
+            res = run_walks(AllPlusWordSource(1), 5000, marks, range(s, s + 1))
+            assert res.values[0].tolist() == [squarefree_count(m) for m in marks]
+            assert res.changes[0].tolist() == [0, 0, 0, 0]
 
     def test_x_1(self):
         assert rmf_trace(SignOracle(123), 1).final_value == 1
@@ -134,9 +183,11 @@ class TestTrace:
 
     @pytest.mark.parametrize("min_segment", [2**20, 256])
     def test_minus_hook_equals_mertens(self, min_segment, monkeypatch):
-        # the minus walk runs the hash walk's XOR fold and big-prime scatter,
-        # Mertens reads mu from the sieve's parity; a MIN_SEGMENT of 256 cuts
-        # the walk into 317 segments of isqrt(10^5) = 316
+        # a walk of several samples under the minus hook runs the hash walk's
+        # XOR fold and big-prime scatter, a one-sample walk the lane path
+        # (the sieve folds f(p) = -1 from the lane's words), and Mertens
+        # reads mu from the sieve's parity; a MIN_SEGMENT of 256 cuts the
+        # walk into 317 segments of isqrt(10^5) = 316
         from rmflab.sieve import mertens_trace
 
         monkeypatch.setattr(engine, "MIN_SEGMENT", min_segment)
@@ -146,6 +197,11 @@ class TestTrace:
         assert tr.final_value == mt.final_value
         assert tr.sign_change_count == mt.sign_change_count
         assert tr.checkpoint_values == mt.checkpoint_values
+        marks = [*checkpoints, 10**5]
+        res = run_walks(RmfWordSource(0, hook="minus"), 10**5, marks, range(62, 66))
+        want = [*mt.checkpoint_values, mt.final_value]
+        assert all(row == want for row in res.values.tolist())
+        assert all(row[-1] == mt.sign_change_count for row in res.changes.tolist())
 
     def test_checkpoint_out_of_range(self):
         with pytest.raises(ParameterError):

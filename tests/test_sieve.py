@@ -7,7 +7,9 @@ import sympy
 from rmflab import census, engine
 from rmflab.errors import ParameterError
 from rmflab.sieve import (
+    WHEEL_PRIMES,
     PrimeTable,
+    fold_small_primes,
     mertens_trace,
     primes_up_to,
     segment_radical_data,
@@ -152,6 +154,101 @@ def test_segment_radical_data_matches_oracle(group):
         assert np.array_equal(got_big, big), (lo, hi)
         assert np.array_equal(got_big_prime, big_prime), (lo, hi)
         assert got_big_prime.dtype == (np.int32 if hi <= 1 << 31 else np.int64)
+
+
+def test_prime_signs_give_f():
+    # with f(p) folded in, f_values is the multiplicative f on squarefree n
+    lo, hi = 9000, 11000
+    primes = primes_up_to(hi)  # every big prime of the segment has a sign
+    f_p = np.random.default_rng(5).choice(np.array([-1, 1], dtype=np.int8), primes.primes.size)
+    data = segment_radical_data(lo, hi, primes, f_p)
+    big, big_prime = data.big_primes()
+    got = data.f_values(big, f_p[np.searchsorted(primes.primes, big_prime)] < 0)
+    sign = dict(zip(primes.primes.tolist(), f_p.tolist()))
+    want = [
+        0 if max(e.values()) > 1 else math.prod(sign[q] for q in e)
+        for e in (sympy.factorint(n) for n in range(lo, hi))
+    ]
+    assert got.dtype == np.int8 and got.tolist() == want
+
+
+def fold_resized(ufunc, values, small, lo, hi):
+    """fold_small_primes with its wheel pattern tiled by ``np.resize``."""
+    k = min(small.size, len(WHEEL_PRIMES))
+    pattern = np.full(math.prod(WHEEL_PRIMES[:k]), ufunc.identity, dtype=values.dtype)
+    for p, v in zip(WHEEL_PRIMES[:k], values):
+        pattern[::p] = ufunc(pattern[::p], v)
+    out = np.resize(np.roll(pattern, -(lo % pattern.size)), hi - lo)
+    for p, v in zip(small[k:].tolist(), values[k:]):
+        out[(-lo) % p :: p] = ufunc(out[(-lo) % p :: p], v)
+    return out
+
+
+@pytest.mark.parametrize(
+    "lo, hi, limit",
+    [(30029, 30032, 200), (30025, 30030 + 70_001, 200), (60059, 150_101, 400),
+     (1, 30031, 200), (29, 95, 5), (17, 16_000, 12)],
+)
+def test_fold_into_out_matches_resized_pattern(lo, hi, limit):
+    # tiles that start mid-period, cross the wheel period 30030, are shorter
+    # than it, or come from a smaller wheel (period 30 or 2310)
+    small = primes_up_to(limit).primes
+    cases = [(np.multiply, (-small).astype(np.int64)),
+             (np.bitwise_xor, np.arange(1, small.size + 1, dtype=np.uint64) * np.uint64(977))]
+    for ufunc, values in cases:
+        want = fold_resized(ufunc, values, small, lo, hi)
+        out = np.full(hi - lo, 7, dtype=values.dtype)
+        got = fold_small_primes(ufunc, values, small, lo, hi, out=out)
+        assert got is out and got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(fold_small_primes(ufunc, values, small, lo, hi), want)
+
+
+def assert_same_segment(got, want):
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    for name in ("squarefree", "small", "radical", "odd", "has_big"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (got.lo, name)
+    for a, b in zip(got.big_primes(), want.big_primes()):
+        assert a.dtype == b.dtype and np.array_equal(a, b), got.lo
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [(1, 1001, 2001, 2500),  # the first segment compares with n, the last is shorter
+     (10**6 - 3000, 10**6 - 2500, 10**6 + 1000, 10**6 + 1500),  # a longer second segment
+     (2**31 - 4000, 2**31 - 2000, 2**31, 2**31 + 2000, 2**31 + 2500)],  # int32, then int64
+)
+def test_buffered_segments_equal_fresh_ones(edges):
+    primes = primes_up_to(math.isqrt(edges[-1] - 1) + 1)
+    rng = np.random.default_rng(11)
+    f_p = rng.choice(np.array([-1, 1], dtype=np.int8), primes.primes.size)
+    for prime_signs in (None, f_p):
+        buffers = {}
+        for lo, hi in zip(edges, edges[1:]):
+            got = segment_radical_data(lo, hi, primes, prime_signs, buffers)
+            want = segment_radical_data(lo, hi, primes, prime_signs)
+            assert got.radical.dtype == (np.int32 if hi <= 1 << 31 else np.int64)
+            assert_same_segment(got, want)
+            big, _ = want.big_primes()
+            minus = rng.random(big.size) < 0.5
+            assert np.array_equal(got.f_values(big, minus), want.f_values(big, minus))
+            assert np.array_equal(got.mobius(), want.mobius())
+
+
+def test_buffers_are_refilled_in_place():
+    # a buffered segment's arrays are valid until the next call given the
+    # same dict, which writes into the same memory; unbuffered calls share none
+    primes = primes_up_to(1500)
+    buffers = {}
+    first = segment_radical_data(10**6, 10**6 + 4096, primes, buffers=buffers)
+    first_mu = first.mobius()
+    second = segment_radical_data(10**6 + 4096, 10**6 + 8000, primes, buffers=buffers)
+    fresh = segment_radical_data(10**6 + 4096, 10**6 + 8000, primes)
+    for name in ("squarefree", "radical", "odd", "has_big"):
+        assert np.shares_memory(getattr(first, name), getattr(second, name)), name
+        assert not np.shares_memory(getattr(fresh, name), getattr(second, name)), name
+    assert np.shares_memory(first_mu, second.mobius())
+    assert not np.shares_memory(fresh.mobius(), second.mobius())
 
 
 class TestMertens:

@@ -58,6 +58,9 @@ def test_premix_then_keyed_words_match_sign_word(dtype, values):
     assert words.tolist() == [sign_word(key, v) for v in values]
     assert arr.tolist() == values  # both inputs are kept
     assert np.array_equal(premixed, kept)
+    # given ``out``, the words are written there, premixed itself included
+    assert signs.keyed_words(premixed, key, out=premixed) is premixed
+    assert np.array_equal(premixed, words)
 
 
 def test_sign_bits_deterministic():
